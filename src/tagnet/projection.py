@@ -255,21 +255,20 @@ def _cosine_grid(sigs: list[SignatureVector]):
     nonzero = norms > 0.0
     inv[nonzero] = 1.0 / norms[nonzero]
     b = sp.diags(inv) @ a
-    grid = b @ b.T
+    # Exactly symmetric: every row of b lists its columns in the same order,
+    # so grid[i, j] and grid[j, i] add the same products in the same order.
+    grid = (b @ b.T).tocsr()
+    np.clip(grid.data, 0.0, 1.0, out=grid.data)
 
     diag = np.where(nonzero, 1.0, 0.0)
     if m <= DENSE_LIMIT:
-        dense = grid.toarray() if sp.issparse(grid) else np.asarray(grid)
-        np.clip(dense, 0.0, 1.0, out=dense)
-        upper = np.triu(dense, 1)
-        dense = upper + upper.T
-        dense[np.arange(m), np.arange(m)] = diag
+        dense = grid.toarray()
+        np.fill_diagonal(dense, diag)
         return dense, zero_rows
-    grid = grid.tocsr()
-    np.clip(grid.data, 0.0, 1.0, out=grid.data)
-    upper = sp.triu(grid, 1)
-    out = (upper + upper.T + sp.diags(diag)).tocsr()
-    return out, zero_rows
+    # Only nonzero rows store a diagonal entry; pin it to exactly 1.
+    rows = np.repeat(np.arange(m, dtype=grid.indices.dtype), np.diff(grid.indptr))
+    grid.data[rows == grid.indices] = 1.0
+    return grid, zero_rows
 
 
 def top_n(net: TripartiteNetwork, family: str, n: int) -> list[int]:
