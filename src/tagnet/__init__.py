@@ -14,6 +14,7 @@ from .model import (
     EntityRegistry,
     TaggingEvent,
     TripartiteNetwork,
+    UnknownEntityError,
     build_network,
     degree_stats,
 )
@@ -82,6 +83,7 @@ __all__ = [
     "TagSpectrum",
     "TripartiteNetwork",
     "USER",
+    "UnknownEntityError",
     "activity_color",
     "build_network",
     "build_tree",

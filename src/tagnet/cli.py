@@ -127,6 +127,13 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _grid(args) -> FilterGrid:
+    try:
+        return FilterGrid(args.phi_start, args.phi_step)
+    except ValueError as exc:
+        raise UsageError(f"bad phi grid: {exc}") from None
+
+
 def _load_network(args):
     events = read_triples(args.input, fmt=args.format, strict=args.strict)
     return build_network(events, normalize=args.normalize_tags, strict=args.strict)
@@ -149,12 +156,13 @@ def cmd_tree(args) -> int:
     kind = FAMILY_KIND[args.family]
     if args.view is not None and VIEWS[args.view][0] != kind:
         raise UsageError(f"view {args.view!r} does not project family {args.family!r}")
+    grid = _grid(args)
     net = _load_network(args)
     members = top_n(net, kind, n)
     if len(members) < 2:
         raise DataError(f"family {args.family} has fewer than 2 members")
     matrix = correlation_matrix(net, kind, view=args.view, members=members)
-    tree = build_tree(matrix, FilterGrid(args.phi_start, args.phi_step))
+    tree = build_tree(matrix, grid)
     write_tree_json(tree, args.out_json)
     write_tree_dot(tree, args.out_dot, include_singletons=args.include_singletons)
     return EXIT_OK
@@ -164,6 +172,7 @@ def cmd_diversity(args) -> int:
     n = args.top_n if args.top_n is not None else DEFAULT_TOP_N["tags"]
     if n < 2:
         raise UsageError("--top-n must be at least 2")
+    grid = _grid(args)
     net = _load_network(args)
     uid = net.users.id_of(args.user)
     user_spec = tag_spectrum(net, uid, weighted=args.weighted_tau)
@@ -177,7 +186,7 @@ def cmd_diversity(args) -> int:
 
     members = top_n(net, TAG, n)
     matrix = correlation_matrix(net, TAG, members=members)
-    tree = build_tree(matrix, FilterGrid(args.phi_start, args.phi_step))
+    tree = build_tree(matrix, grid)
     report = island_activity(tree, user_spec, sample_spec)
     write_tree_dot(
         tree, args.out_dot, report=report, include_singletons=args.include_singletons
@@ -230,7 +239,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"tagnet: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (DataError, KeyError) as exc:
+    except DataError as exc:
         message = exc.args[0] if exc.args else exc
         print(f"tagnet: error: {message}", file=sys.stderr)
         return EXIT_DATA

@@ -27,6 +27,10 @@ class DataError(ValueError):
     """Input data violates a format or content contract."""
 
 
+class UnknownEntityError(DataError, KeyError):
+    """A name or id that the network does not hold."""
+
+
 def normalize_default(tag: str) -> str:
     """Trim surrounding whitespace and case-fold."""
     return tag.strip().casefold()
@@ -67,7 +71,7 @@ class EntityRegistry:
         try:
             return self.indices[name]
         except KeyError:
-            raise KeyError(f"unknown {self.kind}: {name!r}") from None
+            raise UnknownEntityError(f"unknown {self.kind}: {name!r}") from None
 
     def name_of(self, entity_id: int) -> str:
         self.check(entity_id)
@@ -76,7 +80,7 @@ class EntityRegistry:
     def check(self, entity_id: int) -> int:
         """Validate that an id is registered; returns it unchanged."""
         if not 0 <= entity_id < len(self.names):
-            raise KeyError(f"unknown {self.kind} id: {entity_id}")
+            raise UnknownEntityError(f"unknown {self.kind} id: {entity_id}")
         return entity_id
 
     def __len__(self) -> int:

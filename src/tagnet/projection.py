@@ -186,12 +186,17 @@ class CorrelationMatrix:
         """Wrap a raw symmetric array; members are 0..n-1.
 
         Rows whose diagonal is 0 are flagged as zero-signature members.
+        Values must be finite, lie in [0, 1] and be exactly symmetric.
         """
         arr = np.array(values, dtype=float)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ValueError("expected a square matrix")
+        if not np.isfinite(arr).all():
+            raise ValueError("correlation values must be finite")
         if arr.size and (arr.min() < 0.0 or arr.max() > 1.0):
             raise ValueError("correlation values must lie in [0, 1]")
+        if not np.array_equal(arr, arr.T):
+            raise ValueError("correlation matrix must be symmetric")
         n = arr.shape[0]
         members = list(range(n))
         if names is None:

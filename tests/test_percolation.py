@@ -4,6 +4,9 @@ import random
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import given
+from hypothesis import strategies as st
 
 from tagnet import (
     CorrelationMatrix,
@@ -286,6 +289,15 @@ def test_grid_validation():
         FilterGrid(start=-0.2)
 
 
+def test_grid_level_cap():
+    with pytest.raises(ValueError, match="more than 1000 levels"):
+        FilterGrid(0.0, 1e-4)
+    with pytest.raises(ValueError):
+        FilterGrid(0.0, float("nan"))
+    tree = build_tree(CorrelationMatrix.from_dense(np.ones((2, 2))), FilterGrid(0.0, 1e-3))
+    assert len(tree.levels) == 1000
+
+
 def test_empty_matrix_rejected():
     with pytest.raises(ValueError):
         build_tree(CorrelationMatrix.from_dense(np.zeros((0, 0))))
@@ -298,3 +310,45 @@ def test_ties_at_exact_one_stop_at_grid_end():
     assert len(tree.levels) == 20
     last = tree.islands_at(len(tree.levels) - 1)
     assert len(last) == 1 and last[0].size == 2
+
+
+# -- properties of the sweep --------------------------------------------------
+
+TIE_VALUES = [0.0, 0.05, 0.25, 0.5, 0.5000000000000001, 1.0]
+
+
+@st.composite
+def stored_matrices(draw):
+    """Random symmetric matrices with exact ties, dense or CSR, members shuffled."""
+    n = draw(st.integers(min_value=1, max_value=9))
+    c = np.zeros((n, n))
+    for i in range(n):
+        c[i, i] = draw(st.sampled_from([0.0, 1.0]))
+        for j in range(i + 1, n):
+            c[i, j] = c[j, i] = draw(st.sampled_from(TIE_VALUES))
+    members = draw(st.permutations(range(0, 3 * n, 3)))
+    values = sp.csr_matrix(c) if draw(st.booleans()) else c
+    names = [f"m{m}" for m in members]
+    return CorrelationMatrix("tag", "direct", list(members), names, values)
+
+
+grids = st.builds(
+    FilterGrid,
+    start=st.sampled_from([0.0, 0.05, 0.25, 0.5]),
+    step=st.sampled_from([0.05, 0.1, 0.25, 0.5]),
+)
+
+
+@given(C=stored_matrices(), grid=grids)
+def test_sweep_matches_bruteforce_oracle_with_ties(C, grid):
+    levels, structure = oracle_tree(C, grid)
+    tree = build_tree(C, grid)
+    assert tree.levels == levels
+    assert tree_structure(tree) == structure
+    assert tree.root.members == frozenset(C.members)
+    assert tree.root.characteristic == oracle_characteristic(C.members, C)
+    order = [(isl.level, min(isl.members)) for isl in tree.islands[1:]]
+    assert order == sorted(order)
+    assert [isl.id for isl in tree.islands] == list(range(len(tree.islands)))
+    for isl in tree.islands[1:]:
+        assert characteristic_element(isl, C) == isl.characteristic

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import tagnet.projection
 from tagnet import (
+    CorrelationMatrix,
     EntityRegistry,
     SignatureVector,
     TaggingEvent,
@@ -306,3 +307,45 @@ def test_top_n_rejects_nonpositive_n():
     net = net_of(ev("a", "x", "T"))
     with pytest.raises(ValueError):
         top_n(net, "tags", 0)
+
+
+# -- input validation ---------------------------------------------------------
+
+def test_from_dense_rejects_non_finite_values():
+    with pytest.raises(ValueError, match="finite"):
+        CorrelationMatrix.from_dense([[1.0, float("nan")], [float("nan"), 1.0]])
+    with pytest.raises(ValueError, match="finite"):
+        CorrelationMatrix.from_dense([[1.0, float("inf")], [float("inf"), 1.0]])
+
+
+def test_from_dense_rejects_asymmetric_values():
+    with pytest.raises(ValueError, match="symmetric"):
+        CorrelationMatrix.from_dense([[1.0, 0.2], [0.9, 1.0]])
+
+
+# -- dense and sparse storage -------------------------------------------------
+
+corpora = st.lists(
+    st.tuples(
+        st.sampled_from([f"u{k}" for k in range(6)]),
+        st.sampled_from([f"i{k}" for k in range(7)]),
+        st.lists(st.sampled_from([f"t{k}" for k in range(6)]), min_size=1, max_size=3),
+    ),
+    min_size=1,
+    max_size=30,
+)
+
+
+@given(rows=corpora, view=st.sampled_from(sorted(tagnet.projection.VIEWS)))
+def test_sparse_storage_equals_dense_exactly(rows, view):
+    net = build_network([TaggingEvent(u, i, tuple(t)) for u, i, t in rows])
+    family = view.split("-")[0]
+    dense = correlation_matrix(net, family, view=view)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tagnet.projection, "DENSE_LIMIT", 0)
+        sparse = correlation_matrix(net, family, view=view)
+    assert dense.is_dense and not sparse.is_dense
+    assert np.array_equal(dense.values, dense.values.T)
+    assert (sparse.values != sparse.values.T).nnz == 0
+    assert np.array_equal(sparse.values.toarray(), dense.values)
+    assert sparse.zero_members == dense.zero_members
