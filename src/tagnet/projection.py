@@ -239,7 +239,13 @@ def correlation_matrix(
 
 
 def _cosine_grid(sigs: list[SignatureVector]):
-    """All-pairs cosine of row signatures; returns (matrix, zero row indices)."""
+    """All-pairs cosine of row signatures; returns (matrix, zero row indices).
+
+    Each cosine is G[i, j] / sqrt(G[i, i] * G[j, j]) on the Gram matrix
+    G = A A^T of the raw signatures. For 0/1 signatures G is exact, so each
+    cosine is rounded once and exact values stay exact: two users with 6
+    items sharing 3 correlate exactly 0.5.
+    """
     m = len(sigs)
     col_ids = sorted({c for s in sigs for c in s.entries})
     col_pos = {c: j for j, c in enumerate(col_ids)}
@@ -253,26 +259,23 @@ def _cosine_grid(sigs: list[SignatureVector]):
     a = sp.csr_matrix(
         (data, (rows, cols)), shape=(m, len(col_ids)), dtype=float
     )
+    # Exactly symmetric: with every row of a in ascending column order,
+    # G[i, j] and G[j, i] add the same products in the same order.
+    a.sort_indices()
+    grid = (a @ a.T).tocsr()
 
-    norms = np.sqrt(np.asarray(a.multiply(a).sum(axis=1)).ravel())
-    zero_rows = [k for k in range(m) if norms[k] == 0.0]
-    inv = np.zeros(m)
-    nonzero = norms > 0.0
-    inv[nonzero] = 1.0 / norms[nonzero]
-    b = sp.diags(inv) @ a
-    # Exactly symmetric: every row of b lists its columns in the same order,
-    # so grid[i, j] and grid[j, i] add the same products in the same order.
-    grid = (b @ b.T).tocsr()
+    # The diagonal comes out exactly 1: sqrt(x * x) is x in binary floating
+    # point, barring overflow. Zero rows store nothing.
+    gram = grid.diagonal()
+    scale = np.repeat(gram, np.diff(grid.indptr))
+    scale *= gram[grid.indices]
+    np.sqrt(scale, out=scale)
+    grid.data /= scale
+    del scale
     np.clip(grid.data, 0.0, 1.0, out=grid.data)
-
-    diag = np.where(nonzero, 1.0, 0.0)
+    zero_rows = np.flatnonzero(gram == 0.0).tolist()
     if m <= DENSE_LIMIT:
-        dense = grid.toarray()
-        np.fill_diagonal(dense, diag)
-        return dense, zero_rows
-    # Only nonzero rows store a diagonal entry; pin it to exactly 1.
-    rows = np.repeat(np.arange(m, dtype=grid.indices.dtype), np.diff(grid.indptr))
-    grid.data[rows == grid.indices] = 1.0
+        return grid.toarray(), zero_rows
     return grid, zero_rows
 
 

@@ -11,10 +11,12 @@ import tagnet.projection
 from tagnet import (
     CorrelationMatrix,
     EntityRegistry,
+    FilterGrid,
     SignatureVector,
     TaggingEvent,
     TripartiteNetwork,
     build_network,
+    build_tree,
     correlation_matrix,
     cosine,
     item_tag_signature,
@@ -309,6 +311,23 @@ def test_top_n_rejects_nonpositive_n():
         top_n(net, "tags", 0)
 
 
+def test_half_overlap_of_six_item_libraries_is_exactly_half():
+    shared = [ev(u, f"s{k}", "T") for u in ("a", "b") for k in range(3)]
+    own = [ev(u, f"{u}{k}", "T") for u in ("a", "b") for k in range(3)]
+    net = net_of(*shared, *own)
+    C = correlation_matrix(net, "users")
+    assert C.value(0, 1) == 0.5
+    # the filter is strict, so an exact 0.5 does not link at phi = 0.5
+    tree = build_tree(C, FilterGrid(0.0, 0.5))
+    assert [isl.size for isl in tree.islands_at(1)] == [1, 1]
+
+
+def test_half_overlap_of_two_item_libraries_is_exactly_half():
+    net = net_of(ev("a", "x", "T"), ev("a", "y", "T"),
+                 ev("b", "x", "T"), ev("b", "z", "T"))
+    assert correlation_matrix(net, "users").value(0, 1) == 0.5
+
+
 # -- input validation ---------------------------------------------------------
 
 def test_from_dense_rejects_non_finite_values():
@@ -349,3 +368,5 @@ def test_sparse_storage_equals_dense_exactly(rows, view):
     assert (sparse.values != sparse.values.T).nnz == 0
     assert np.array_equal(sparse.values.toarray(), dense.values)
     assert sparse.zero_members == dense.zero_members
+    for m in dense.members:
+        assert dense.value(m, m) == (0.0 if m in dense.zero_members else 1.0)
