@@ -265,7 +265,7 @@ def _cosine_grid(sigs: list[SignatureVector]):
     grid = (a @ a.T).tocsr()
 
     # The diagonal comes out exactly 1: sqrt(x * x) is x in binary floating
-    # point, barring overflow. Zero rows store nothing.
+    # point, barring overflow and underflow. Zero rows store nothing.
     gram = grid.diagonal()
     scale = np.repeat(gram, np.diff(grid.indptr))
     scale *= gram[grid.indices]
