@@ -2,18 +2,24 @@
 
 A tagging event is one user describing one item with a set of tags. When a
 (user, item) pair carries k distinct tags, each of its k links gets weight
-exactly 1/k, so the link weights of every owned pair sum to 1. Weights are
-kept as exact rationals internally and only converted to floats at the
-projection boundary.
+exactly 1/k, so the link weights of every owned pair sum to 1. Single links
+report that weight as an exact rational. The network also holds two sparse
+incidence matrices: ownership B (users x items, 0/1) and attribution W
+(items x tags, each entry the float sum of the 1/k weights of its links).
+W adds its float weights one at a time, so an entry can differ in the last
+bit from the exact rational sum rounded once.
 """
 
 from __future__ import annotations
 
 import logging
-from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 from typing import Callable, Iterable
+
+import numpy as np
+import scipy.sparse as sp
 
 logger = logging.getLogger(__name__)
 
@@ -110,8 +116,10 @@ class TripartiteNetwork:
     """Immutable tripartite tagging network with fractional link weights.
 
     The canonical storage is the map (user_id, item_id) -> tag ids; every
-    link weight is 1/k where k is the pair's tag count. Adjacency views are
-    precomputed once, and the object is safe to share across readers.
+    link weight is 1/k where k is the pair's tag count. incidence maps a
+    (row kind, column kind) pair to one of B, B^T, W and W^T as scipy CSR
+    matrices with int32 indices, ascending in every row. Everything is built
+    once, and the object is safe to share across readers.
     """
 
     def __init__(
@@ -127,21 +135,29 @@ class TripartiteNetwork:
         self._pair_tags = pair_tags
         self.ownership: frozenset[tuple[int, int]] = frozenset(pair_tags)
 
-        self._user_items: dict[int, list[int]] = {}
-        self._item_users: dict[int, list[int]] = {}
-        self._item_tag_weights: dict[int, dict[int, Fraction]] = {}
-        self._tag_item_weights: dict[int, dict[int, Fraction]] = {}
-        self._tag_link_counts: Counter[int] = Counter()
-        for (uid, iid), tag_ids in pair_tags.items():
-            w = Fraction(1, len(tag_ids))
-            self._user_items.setdefault(uid, []).append(iid)
-            self._item_users.setdefault(iid, []).append(uid)
-            by_tag = self._item_tag_weights.setdefault(iid, {})
-            for tid in tag_ids:
-                by_tag[tid] = by_tag.get(tid, Fraction(0)) + w
-                by_item = self._tag_item_weights.setdefault(tid, {})
-                by_item[iid] = by_item.get(iid, Fraction(0)) + w
-                self._tag_link_counts[tid] += 1
+        n_pairs = len(pair_tags)
+        pairs = np.fromiter(chain.from_iterable(pair_tags), np.int32, 2 * n_pairs)
+        pair_users, pair_items = pairs[0::2], pairs[1::2]
+        k = np.fromiter(map(len, pair_tags.values()), np.int32, n_pairs)
+        link_tags = np.fromiter(
+            chain.from_iterable(pair_tags.values()), np.int32, int(k.sum())
+        )
+        # Converting (data, (row, col)) input sums duplicate entries.
+        b = sp.csr_matrix(
+            (np.ones(n_pairs), (pair_users, pair_items)), shape=(len(users), len(items))
+        )
+        w = sp.csr_matrix(
+            (np.repeat(1.0 / k, k), (np.repeat(pair_items, k), link_tags)),
+            shape=(len(items), len(tags)),
+        )
+        self.incidence: dict[tuple[str, str], sp.csr_matrix] = {
+            (USER, ITEM): b,
+            (ITEM, USER): b.T.tocsr(),
+            (ITEM, TAG): w,
+            (TAG, ITEM): w.T.tocsr(),
+        }
+        #: links per tag id
+        self.tag_link_counts = np.bincount(link_tags, minlength=len(tags))
 
     # -- link views ---------------------------------------------------------
 
@@ -165,31 +181,27 @@ class TripartiteNetwork:
         return Fraction(0)
 
     def user_items(self, user_id: int) -> tuple[int, ...]:
+        """Items the user owns, in ascending id order."""
         self.users.check(user_id)
-        return tuple(self._user_items.get(user_id, ()))
+        return _row(self.incidence[USER, ITEM], user_id)
 
     def item_users(self, item_id: int) -> tuple[int, ...]:
+        """Users owning the item, in ascending id order."""
         self.items.check(item_id)
-        return tuple(self._item_users.get(item_id, ()))
-
-    def item_tag_weights(self, item_id: int) -> dict[int, Fraction]:
-        """Per-tag weight sums of one item, accumulated over all users."""
-        self.items.check(item_id)
-        return dict(self._item_tag_weights.get(item_id, {}))
-
-    def tag_item_weights(self, tag_id: int) -> dict[int, Fraction]:
-        """Per-item weight sums of one tag, accumulated over all users."""
-        self.tags.check(tag_id)
-        return dict(self._tag_item_weights.get(tag_id, {}))
+        return _row(self.incidence[ITEM, USER], item_id)
 
     def tag_link_count(self, tag_id: int) -> int:
         self.tags.check(tag_id)
-        return self._tag_link_counts.get(tag_id, 0)
+        return int(self.tag_link_counts[tag_id])
 
     def iter_pairs(self):
         """Iterate (user_id, item_id, tag_ids) over owned pairs in build order."""
         for (uid, iid), tag_ids in self._pair_tags.items():
             yield uid, iid, tag_ids
+
+
+def _row(m: sp.csr_matrix, index: int) -> tuple[int, ...]:
+    return tuple(m.indices[m.indptr[index]:m.indptr[index + 1]].tolist())
 
 
 def build_network(

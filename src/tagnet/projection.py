@@ -3,8 +3,9 @@
 Each entity gets a sparse signature over another node family; correlating two
 entities of the same family is the cosine of their signatures. Four views are
 supported: users-via-items and items-via-users (binary ownership profiles),
-items-via-tags and tags-via-items (weight sums over all users). Cross-kind
-correlations are deliberately not computed.
+items-via-tags and tags-via-items (weight sums over all users). A view's
+signatures are the rows of one of the network's incidence matrices B, B^T, W
+and W^T. Cross-kind correlations are deliberately not computed.
 """
 
 from __future__ import annotations
@@ -15,12 +16,12 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .model import ITEM, TAG, USER, TripartiteNetwork
+from .model import ITEM, KINDS, TAG, USER, EntityRegistry, TripartiteNetwork
 
 #: Correlation matrices at or below this member count are stored dense.
 DENSE_LIMIT = 4096
 
-#: view name -> (family kind, axis kind)
+#: view name -> (family kind, axis kind), the key of its incidence matrix
 VIEWS: dict[str, tuple[str, str]] = {
     "users-via-items": (USER, ITEM),
     "items-via-users": (ITEM, USER),
@@ -56,9 +57,6 @@ class SignatureVector:
     def is_empty(self) -> bool:
         return not self.entries
 
-    def norm(self) -> float:
-        return math.sqrt(sum(v * v for v in self.entries.values()))
-
     def dot(self, other: "SignatureVector") -> float:
         # summed in ascending coordinate order so dot(u, v) == dot(v, u) exactly
         small, big = self.entries, other.entries
@@ -69,14 +67,12 @@ class SignatureVector:
 
 def user_item_signature(net: TripartiteNetwork, user_id: int) -> SignatureVector:
     """Binary ownership profile of a user over the item axis."""
-    entries = {iid: 1.0 for iid in net.user_items(user_id)}
-    return SignatureVector(USER, user_id, ITEM, entries)
+    return signature_for_view(net, "users-via-items", user_id)
 
 
 def item_user_signature(net: TripartiteNetwork, item_id: int) -> SignatureVector:
     """Binary audience profile of an item over the user axis."""
-    entries = {uid: 1.0 for uid in net.item_users(item_id)}
-    return SignatureVector(ITEM, item_id, USER, entries)
+    return signature_for_view(net, "items-via-users", item_id)
 
 
 def item_tag_signature(
@@ -86,9 +82,7 @@ def item_tag_signature(
 
     With binary=True every attributed tag counts 1 instead of its weight sum.
     """
-    weights = net.item_tag_weights(item_id)
-    entries = {tid: (1.0 if binary else float(w)) for tid, w in weights.items()}
-    return SignatureVector(ITEM, item_id, TAG, entries)
+    return signature_for_view(net, "items-via-tags", item_id, binary=binary)
 
 
 def tag_item_signature(
@@ -96,24 +90,20 @@ def tag_item_signature(
 ) -> SignatureVector:
     """Item profile of a tag: link weights summed over all users (transpose
     view of item_tag_signature)."""
-    weights = net.tag_item_weights(tag_id)
-    entries = {iid: (1.0 if binary else float(w)) for iid, w in weights.items()}
-    return SignatureVector(TAG, tag_id, ITEM, entries)
+    return signature_for_view(net, "tags-via-items", tag_id, binary=binary)
 
 
 def signature_for_view(
     net: TripartiteNetwork, view: str, entity_id: int, binary: bool = False
 ) -> SignatureVector:
-    """Signature of one entity under a named view."""
-    if view == "users-via-items":
-        return user_item_signature(net, entity_id)
-    if view == "items-via-users":
-        return item_user_signature(net, entity_id)
-    if view == "items-via-tags":
-        return item_tag_signature(net, entity_id, binary=binary)
-    if view == "tags-via-items":
-        return tag_item_signature(net, entity_id, binary=binary)
-    raise ValueError(f"unknown view: {view!r}")
+    """Signature of one entity under a named view: its incidence matrix row."""
+    family, axis = _view(view)
+    _registry(net, family).check(entity_id)
+    rows = net.incidence[family, axis]
+    lo, hi = rows.indptr[entity_id], rows.indptr[entity_id + 1]
+    values = [1.0] * (hi - lo) if binary else rows.data[lo:hi].tolist()
+    entries = dict(zip(rows.indices[lo:hi].tolist(), values))
+    return SignatureVector(family, entity_id, axis, entries)
 
 
 def cosine(u: SignatureVector, v: SignatureVector) -> float:
@@ -125,7 +115,8 @@ def cosine(u: SignatureVector, v: SignatureVector) -> float:
         raise ValueError(f"axis mismatch: {u.axis} vs {v.axis}")
     if u.is_empty or v.is_empty:
         return 0.0
-    value = u.dot(v) / (u.norm() * v.norm())
+    # One rounding per step, as in _cosine_grid, so both give the same bits.
+    value = u.dot(v) / math.sqrt(u.dot(u) * v.dot(v))
     return min(1.0, max(0.0, value))
 
 
@@ -220,45 +211,32 @@ def correlation_matrix(
     kind = _as_kind(family)
     if view is None:
         view = DEFAULT_VIEW[kind]
-    if view not in VIEWS:
-        raise ValueError(f"unknown view: {view!r}")
-    if VIEWS[view][0] != kind:
+    if _view(view)[0] != kind:
         raise ValueError(f"view {view!r} does not project the {kind} family")
 
-    registry = {USER: net.users, ITEM: net.items, TAG: net.tags}[kind]
+    registry = _registry(net, kind)
     if members is None:
         members = list(range(len(registry)))
     else:
         members = [registry.check(m) for m in members]
 
-    sigs = [signature_for_view(net, view, m, binary=binary) for m in members]
-    names = [registry.name_of(m) for m in members]
-    values, zero_rows = _cosine_grid(sigs)
+    rows = net.incidence[VIEWS[view]][members]
+    if binary:
+        rows.data[:] = 1.0
+    names = [registry.names[m] for m in members]
+    values, zero_rows = _cosine_grid(rows)
     zero_members = frozenset(members[k] for k in zero_rows)
     return CorrelationMatrix(kind, view, list(members), names, values, zero_members)
 
 
-def _cosine_grid(sigs: list[SignatureVector]):
-    """All-pairs cosine of row signatures; returns (matrix, zero row indices).
+def _cosine_grid(a: sp.csr_matrix):
+    """All-pairs cosine of the rows of a; returns (matrix, zero row indices).
 
     Each cosine is G[i, j] / sqrt(G[i, i] * G[j, j]) on the Gram matrix
     G = A A^T of the raw signatures. For 0/1 signatures G is exact, so each
     cosine is rounded once and exact values stay exact: two users with 6
     items sharing 3 correlate exactly 0.5.
     """
-    m = len(sigs)
-    col_ids = sorted({c for s in sigs for c in s.entries})
-    col_pos = {c: j for j, c in enumerate(col_ids)}
-
-    rows, cols, data = [], [], []
-    for k, sig in enumerate(sigs):
-        for c, v in sig.entries.items():
-            rows.append(k)
-            cols.append(col_pos[c])
-            data.append(v)
-    a = sp.csr_matrix(
-        (data, (rows, cols)), shape=(m, len(col_ids)), dtype=float
-    )
     # Exactly symmetric: with every row of a in ascending column order,
     # G[i, j] and G[j, i] add the same products in the same order.
     a.sort_indices()
@@ -274,7 +252,7 @@ def _cosine_grid(sigs: list[SignatureVector]):
     del scale
     np.clip(grid.data, 0.0, 1.0, out=grid.data)
     zero_rows = np.flatnonzero(gram == 0.0).tolist()
-    if m <= DENSE_LIMIT:
+    if a.shape[0] <= DENSE_LIMIT:
         return grid.toarray(), zero_rows
     return grid, zero_rows
 
@@ -289,20 +267,25 @@ def top_n(net: TripartiteNetwork, family: str, n: int) -> list[int]:
         raise ValueError("n must be at least 1")
     kind = _as_kind(family)
     if kind == TAG:
-        count = net.tag_link_count
-        size = len(net.tags)
-    elif kind == ITEM:
-        count = lambda iid: len(net.item_users(iid))
-        size = len(net.items)
+        usage = net.tag_link_counts
     else:
-        count = lambda uid: len(net.user_items(uid))
-        size = len(net.users)
-    ranked = sorted(range(size), key=lambda e: (-count(e), e))
-    return ranked[:n]
+        usage = np.diff(net.incidence[VIEWS[DEFAULT_VIEW[kind]]].indptr)
+    return np.argsort(-usage, kind="stable")[:n].tolist()
 
 
 def _as_kind(family: str) -> str:
-    kind = family.rstrip("s") if family not in (USER, ITEM, TAG) else family
-    if kind not in (USER, ITEM, TAG):
+    kind = family[:-1] if family.endswith("s") else family
+    if kind not in KINDS:
         raise ValueError(f"unknown family: {family!r}")
     return kind
+
+
+def _view(view: str) -> tuple[str, str]:
+    try:
+        return VIEWS[view]
+    except KeyError:
+        raise ValueError(f"unknown view: {view!r}") from None
+
+
+def _registry(net: TripartiteNetwork, kind: str) -> EntityRegistry:
+    return {USER: net.users, ITEM: net.items, TAG: net.tags}[kind]

@@ -141,3 +141,5 @@ def load_config(path) -> PlantedConfig:
         return PlantedConfig(**values)  # type: ignore[arg-type]
     except TypeError as exc:
         raise DataError(f"{path}: incomplete config ({exc})") from None
+    except ValueError as exc:
+        raise DataError(f"{path}: {exc}") from None

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -158,3 +159,43 @@ def test_degree_stats_tag_usage_counts_links():
     net = net_of(ev("mu", "i", "I1", "I2"))
     stats = degree_stats(net)
     assert stats.tag_usage == {0: 1, 1: 1}
+
+
+def test_incidence_matrices_hold_ownership_and_weight_sums():
+    net = net_of(ev("a", "x", "A", "B"), ev("b", "x", "A"),
+                 ev("b", "y", "B", "C", "D"))
+    B = net.incidence["user", "item"]
+    W = net.incidence["item", "tag"]
+    assert B.toarray().tolist() == [[1.0, 0.0], [1.0, 1.0]]
+    assert W.toarray().tolist() == [[1.5, 0.5, 0.0, 0.0],
+                                    [0.0, 1 / 3, 1 / 3, 1 / 3]]
+    assert (net.incidence["item", "user"] != B.T).nnz == 0
+    assert (net.incidence["tag", "item"] != W.T).nnz == 0
+    for m in net.incidence.values():
+        assert m.indices.dtype == m.indptr.dtype == np.int32
+        assert m.has_sorted_indices
+
+
+def test_attribution_sums_match_exact_weights():
+    rng = random.Random(5)
+    tags = [f"t{k}" for k in range(6)]
+    events = [ev(f"u{rng.randrange(40)}", f"i{rng.randrange(3)}",
+                 *rng.sample(tags, rng.randint(1, 5))) for _ in range(300)]
+    net = build_network(events)
+    exact = {}
+    for _, iid, tid, w in net.links():
+        exact[iid, tid] = exact.get((iid, tid), 0) + w
+    W = net.incidence["item", "tag"].toarray()
+    assert np.count_nonzero(W) == len(exact)
+    # one rounding per addition, at most len(links) additions per entry
+    rel = len(net.links()) * 2.0**-53
+    for (iid, tid), total in exact.items():
+        assert W[iid, tid] == pytest.approx(float(total), rel=rel, abs=0)
+
+
+def test_adjacency_lists_are_in_ascending_id_order():
+    # u owns item 1 before item 0
+    net = net_of(ev("v", "x", "T"), ev("u", "y", "T"), ev("u", "x", "T"))
+    assert net.user_items(1) == (0, 1)
+    assert net.item_users(0) == (0, 1)
+    assert net.user_items(0) == (0,)

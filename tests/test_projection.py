@@ -328,6 +328,29 @@ def test_half_overlap_of_two_item_libraries_is_exactly_half():
     assert correlation_matrix(net, "users").value(0, 1) == 0.5
 
 
+def test_cosine_agrees_with_matrix_on_exact_half():
+    net = net_of(ev("a", "x", "T"), ev("a", "y", "T"),
+                 ev("b", "x", "T"), ev("b", "z", "T"))
+    pair = cosine(user_item_signature(net, 0), user_item_signature(net, 1))
+    assert pair == 0.5 == correlation_matrix(net, "users").value(0, 1)
+
+
+@pytest.mark.parametrize("family", ["tagss", "usersss", "s", ""])
+def test_family_names_strip_one_plural_s(family):
+    net = net_of(ev("a", "x", "T"))
+    with pytest.raises(ValueError, match="unknown family"):
+        correlation_matrix(net, family)
+    with pytest.raises(ValueError, match="unknown family"):
+        top_n(net, family, 1)
+
+
+@pytest.mark.parametrize("family", ["tags", "tag"])
+def test_family_names_accept_singular_and_plural(family):
+    net = net_of(ev("a", "x", "T"), ev("b", "x", "U"))
+    assert correlation_matrix(net, family).family == "tag"
+    assert top_n(net, family, 1) == [0]
+
+
 # -- input validation ---------------------------------------------------------
 
 def test_from_dense_rejects_non_finite_values():
@@ -370,3 +393,29 @@ def test_sparse_storage_equals_dense_exactly(rows, view):
     assert sparse.zero_members == dense.zero_members
     for m in dense.members:
         assert dense.value(m, m) == (0.0 if m in dense.zero_members else 1.0)
+
+
+def test_sparse_correlation_keeps_int32_indices(monkeypatch):
+    monkeypatch.setattr(tagnet.projection, "DENSE_LIMIT", 0)
+    net = net_of(ev("a", "x", "T"), ev("b", "x", "U"), ev("b", "y", "T"))
+    for family in ("users", "items", "tags"):
+        values = correlation_matrix(net, family).values
+        assert values.indices.dtype == values.indptr.dtype == np.int32
+
+
+@pytest.mark.parametrize("view", ["items-via-tags", "tags-via-items"])
+def test_binary_matrix_matches_binary_signatures(view):
+    rng = random.Random(7)
+    net = build_network(random_events(rng, n_events=40))
+    family = view.split("-")[0]
+    weighted = correlation_matrix(net, family, view=view)
+    C = correlation_matrix(net, family, view=view, binary=True)
+    sigs = {m: tagnet.projection.signature_for_view(net, view, m, binary=True)
+            for m in C.members}
+    for a in C.members:
+        for b in C.members:
+            assert C.value(a, b) == pytest.approx(cosine(sigs[a], sigs[b]), abs=1e-12)
+    # the binary copy leaves the network's weights alone
+    again = correlation_matrix(net, family, view=view)
+    assert np.array_equal(again.values, weighted.values)
+    assert not np.array_equal(C.values, weighted.values)
