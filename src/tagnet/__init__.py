@@ -14,6 +14,7 @@ from .model import (
     EntityRegistry,
     TaggingEvent,
     TripartiteNetwork,
+    Triples,
     UnknownEntityError,
     build_network,
     degree_stats,
@@ -82,6 +83,7 @@ __all__ = [
     "TaggingEvent",
     "TagSpectrum",
     "TripartiteNetwork",
+    "Triples",
     "USER",
     "UnknownEntityError",
     "activity_color",

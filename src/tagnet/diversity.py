@@ -50,22 +50,13 @@ def tag_spectrum(
     Default counting is one per (user, item, tag) attribution; weighted=True
     accumulates the fractional link weights 1/k instead.
     """
-    if user_id is None:
-        pairs = net.iter_pairs()
-        owner: int | str = SAMPLE
-    else:
-        net.users.check(user_id)
-        pairs = (
-            (user_id, iid, net.pair_tag_ids(user_id, iid))
-            for iid in net.user_items(user_id)
-        )
-        owner = user_id
+    owner = SAMPLE if user_id is None else user_id
+    tag_ids, sizes = net.user_links(user_id)
 
     counts: dict[int, float] = {}
-    for _, _, tag_ids in pairs:
-        w = 1.0 / len(tag_ids) if weighted else 1
-        for tid in tag_ids:
-            counts[tid] = counts.get(tid, 0) + w
+    for tid, k in zip(tag_ids.tolist(), sizes.tolist()):
+        w = 1.0 / k if weighted else 1
+        counts[tid] = counts.get(tid, 0) + w
     return TagSpectrum(owner, counts)
 
 

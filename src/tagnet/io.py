@@ -3,17 +3,17 @@
 from __future__ import annotations
 
 import csv
-import io
 import json
 import logging
 import math
+from itertools import compress, islice
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable
 
 import numpy as np
 
 from .diversity import ActivityReport
-from .model import DataError, TaggingEvent
+from .model import DataError, TaggingEvent, Triples
 from .percolation import IslandTree
 from .projection import CorrelationMatrix
 
@@ -25,49 +25,100 @@ _DELIMITERS = {"tsv": "\t", "csv": ","}
 #: DOT node width in inches per sqrt(member count).
 DOT_WIDTH_SCALE = 0.5
 
+#: Rows that read_triples tokenizes per step. It stays below the cyclic
+#: GC's first threshold (700 allocations), so a chunk's row lists are freed
+#: before they can set off a collection.
+CHUNK_ROWS = 512
 
-def read_triples(path, fmt: str = "tsv", strict: bool = False) -> Iterator[TaggingEvent]:
-    """Yield tagging events from a user/item/tag triples file.
 
-    Lines are grouped by (user, item) with tags unioned in first-use order.
-    A 'user item tag' header row is auto-detected and skipped. Malformed
-    lines are skipped with a warning, or abort the read in strict mode.
+def read_triples(path, fmt: str = "tsv", strict: bool = False) -> Triples:
+    """Read a user/item/tag triples file into interned Triples columns.
+
+    The file is decoded as UTF-8 (a leading byte-order mark is dropped) and
+    tokenized by csv.reader CHUNK_ROWS rows at a time, so its whole text is
+    never held at once. Fields are stripped and blank lines ignored; a
+    'user item tag' header row is auto-detected and skipped. Malformed lines
+    are skipped with a warning, or abort the read in strict mode. The file
+    is read in full before this returns, not lazily: iterating the result
+    yields the lines grouped by (user, item), tags in first-use order, as
+    TaggingEvents, and build_network takes it without that iteration.
     """
     try:
         delimiter = _DELIMITERS[fmt]
     except KeyError:
         raise ValueError(f"unknown triples format: {fmt!r}") from None
 
-    raw = Path(path).read_bytes()
+    codes_of, columns, header = _Interner(), [], True
     try:
-        text = raw.decode("utf-8")
+        with open(path, encoding="utf-8-sig", newline="") as fh:
+            reader = csv.reader(fh, delimiter=delimiter)
+            while rows := list(islice(reader, CHUNK_ROWS)):
+                lengths = np.fromiter(map(len, rows), np.intp, len(rows))
+                full = lengths == 3
+                codes = np.zeros((3, len(rows)), np.int32)  # code 0: empty field
+                for column, fields in zip(codes, zip(*compress(rows, full.tolist()))):
+                    column[full] = np.fromiter(
+                        map(codes_of.__getitem__, fields), np.int32, len(fields)
+                    )
+                blank = lengths == 0
+                for k in np.flatnonzero(lengths == 1).tolist():
+                    blank[k] = not rows[k][0].strip()
+                keep = full & codes.all(axis=0)
+                bad = ~(keep | blank)
+                if header and not blank.all():  # the first non-blank row
+                    k, header = np.argmin(blank), False
+                    fields = tuple(codes_of.names[c] for c in codes[:, k].tolist())
+                    keep[k] &= fields != _HEADER
+                if bad.any():
+                    _report(rows, bad, reader.line_num, path, strict)
+                columns.append(codes[:, keep])
     except UnicodeDecodeError as exc:
-        raise DataError(f"{path}: undecodable byte at offset {exc.start}") from exc
+        offset = _undecodable(path)
+        raise DataError(f"{path}: undecodable byte at offset {offset}") from exc
+    users, items, tags = np.concatenate([np.zeros((3, 0), np.int32), *columns], axis=1)
+    return Triples(codes_of.names, users, items, tags)
 
-    reader = csv.reader(io.StringIO(text, newline=""), delimiter=delimiter)
-    groups: dict[tuple[str, str], list[str]] = {}
-    saw_first_row = False
-    for row in reader:
-        if not row or (len(row) == 1 and not row[0].strip()):
-            continue
-        fields = [f.strip() for f in row]
-        if not saw_first_row:
-            saw_first_row = True
-            if tuple(fields) == _HEADER:
-                continue
-        if len(fields) != 3 or not all(fields):
-            message = f"{path}:{reader.line_num}: malformed record {row!r}"
-            if strict:
-                raise DataError(message)
-            logger.warning("skipping %s", message)
-            continue
-        user, item, tag = fields
-        group = groups.setdefault((user, item), [])
-        if tag not in group:
-            group.append(tag)
 
-    for (user, item), tags in groups.items():
-        yield TaggingEvent(user, item, tuple(tags))
+class _Interner(dict):
+    """Field -> code of its stripped name in names, interned on first use."""
+
+    def __init__(self) -> None:
+        super().__init__({"": 0})
+        self.names = [""]
+
+    def __missing__(self, field: str) -> int:
+        name = field.strip()
+        if name not in self:
+            self[name] = len(self.names)
+            self.names.append(name)
+        self[field] = self[name]
+        return self[field]
+
+
+def _report(
+    rows: list[list[str]], bad: np.ndarray, line_num: int, path, strict: bool
+) -> None:
+    """Reject the malformed rows of a chunk, naming the line csv.reader was
+    on when it returned each; line_num is where it ended the chunk."""
+    # a row spans one line plus the line breaks inside its quoted fields
+    ends = np.cumsum([
+        1 + sum(f.count("\n") + f.count("\r") - f.count("\r\n") for f in row)
+        for row in rows
+    ])
+    for k in np.flatnonzero(bad).tolist():
+        line = line_num - ends[-1] + ends[k]
+        message = f"{path}:{line}: malformed record {rows[k]!r}"
+        if strict:
+            raise DataError(message)
+        logger.warning("skipping %s", message)
+
+
+def _undecodable(path) -> int:
+    """File offset of the first byte that is not UTF-8."""
+    try:
+        Path(path).read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        return exc.start
 
 
 def write_triples(events: Iterable[TaggingEvent], path, fmt: str = "tsv") -> None:
