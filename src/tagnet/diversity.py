@@ -9,13 +9,13 @@ form of their spectrum under that metric.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .model import TAG, TripartiteNetwork
 from .percolation import IslandTree
-from .projection import CorrelationMatrix
+from .projection import CorrelationMatrix, _MemberIndex
 
 SAMPLE = "sample"
 
@@ -71,28 +71,18 @@ def entropy(spec: TagSpectrum) -> float:
 
 
 @dataclass
-class SineMatrix:
+class SineMatrix(_MemberIndex):
     """Elementwise sqrt(1 - C^2) of a correlation matrix, a tag distance."""
 
     members: list[int]
     names: list[str]
     values: np.ndarray
-    _index: dict[int, int] = field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        self._index = {m: k for k, m in enumerate(self.members)}
-
-    def index_of(self, member_id: int) -> int:
-        return self._index[member_id]
-
-    def value(self, a: int, b: int) -> float:
-        return float(self.values[self._index[a], self._index[b]])
 
 
 def sine_matrix(C: CorrelationMatrix) -> SineMatrix:
     """Transform correlations to distances; 1 - C^2 is clamped at 0 before
     the square root to absorb rounding."""
-    dense = C.values if C.is_dense else C.values.toarray()
+    dense = C.dense()
     values = np.sqrt(np.clip(1.0 - dense * dense, 0.0, None))
     return SineMatrix(list(C.members), list(C.names), values)
 
@@ -114,14 +104,14 @@ def pairwise_distance(spec1: TagSpectrum, spec2: TagSpectrum, S: SineMatrix) -> 
     Undefined (raises) when either spectrum has zero diversity, e.g. for
     single-tag users.
     """
-    d1 = diversity(spec1, S)
-    d2 = diversity(spec2, S)
+    x1 = _spectrum_vector(spec1, S)
+    x2 = _spectrum_vector(spec2, S)
+    d1 = float(x1 @ S.values @ x1)
+    d2 = float(x2 @ S.values @ x2)
     if d1 <= 0.0 or d2 <= 0.0:
         raise ValueError(
             "pairwise distance is undefined when either diversity is zero"
         )
-    x1 = _spectrum_vector(spec1, S)
-    x2 = _spectrum_vector(spec2, S)
     return float(x1 @ S.values @ x2) / math.sqrt(d1 * d2)
 
 

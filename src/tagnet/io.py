@@ -43,11 +43,7 @@ def read_triples(path, fmt: str = "tsv", strict: bool = False) -> Triples:
     yields the lines grouped by (user, item), tags in first-use order, as
     TaggingEvents, and build_network takes it without that iteration.
     """
-    try:
-        delimiter = _DELIMITERS[fmt]
-    except KeyError:
-        raise ValueError(f"unknown triples format: {fmt!r}") from None
-
+    delimiter = _delimiter(fmt)
     codes_of, columns, header = _Interner(), [], True
     try:
         with open(path, encoding="utf-8-sig", newline="") as fh:
@@ -121,12 +117,16 @@ def _undecodable(path) -> int:
         return exc.start
 
 
-def write_triples(events: Iterable[TaggingEvent], path, fmt: str = "tsv") -> None:
-    """Write one user/item/tag line per attribution, in event order."""
+def _delimiter(fmt: str) -> str:
     try:
-        delimiter = _DELIMITERS[fmt]
+        return _DELIMITERS[fmt]
     except KeyError:
         raise ValueError(f"unknown triples format: {fmt!r}") from None
+
+
+def write_triples(events: Iterable[TaggingEvent], path, fmt: str = "tsv") -> None:
+    """Write one user/item/tag line per attribution, in event order."""
+    delimiter = _delimiter(fmt)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, delimiter=delimiter, lineterminator="\n")
         for event in events:
@@ -139,20 +139,33 @@ def write_matrix(C: CorrelationMatrix, path) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow([""] + list(C.names))
-        for k, name in enumerate(C.names):
-            row = C.row_dense(k)
+        for name, row in zip(C.names, C.dense()):
             writer.writerow([name] + [f"{float(v):.6f}" for v in row])
 
 
 def read_matrix(path) -> tuple[list[str], np.ndarray]:
-    """Read back a matrix written by write_matrix; returns (names, values)."""
+    """Read back a matrix written by write_matrix; returns (names, values).
+    A row that does not fit the header is a DataError naming its path:line."""
     with open(path, encoding="utf-8", newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows:
-        raise DataError(f"{path}: empty matrix file")
-    names = rows[0][1:]
-    values = np.array([[float(v) for v in row[1:]] for row in rows[1:]])
-    return names, values
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
+            raise DataError(f"{path}: empty matrix file")
+        names, values = header[1:], []
+        for k, row in enumerate(reader):
+            where = f"{path}:{reader.line_num}"
+            if row[:1] != names[k:k + 1]:
+                raise DataError(f"{where}: row {row[:1]}, expected {names[k:k + 1]}")
+            if len(row) != len(header):
+                raise DataError(f"{where}: {len(row) - 1} cells, expected {len(names)}")
+            try:
+                values.append([float(v) for v in row[1:]])
+            except ValueError as exc:
+                raise DataError(f"{where}: {exc}") from None
+        if len(values) < len(names):
+            where = f"{path}:{reader.line_num + 1}"
+            raise DataError(f"{where}: no row for {names[len(values)]!r}")
+    return names, np.array(values)
 
 
 def write_tree_json(tree: IslandTree, path, report: ActivityReport | None = None) -> None:
@@ -211,11 +224,14 @@ def write_tree_dot(
         "  rankdir=TB;",
         "  node [shape=square, fixedsize=true];",
     ]
-    rendered = set()
+    # A parent is drawn before its children, so each edge is known at its child.
+    rendered, edges = set(), []
     for island in tree.islands:
         if island.level >= 0 and island.is_singleton and not include_singletons:
             continue
         rendered.add(island.id)
+        if island.parent in rendered:
+            edges.append(f"  n{island.parent} -> n{island.id};")
         width = DOT_WIDTH_SCALE * math.sqrt(island.size)
         label = _dot_escape(tree.names[island.characteristic])
         attrs = [f'label="{label}"', f"width={width:.3f}", f"height={width:.3f}"]
@@ -224,11 +240,7 @@ def write_tree_dot(
             attrs.append("style=filled")
             attrs.append(f'fillcolor="#{color[0]:02x}{color[1]:02x}{color[2]:02x}"')
         lines.append(f"  n{island.id} [{', '.join(attrs)}];")
-    for island in tree.islands:
-        if island.parent is None:
-            continue
-        if island.id in rendered and island.parent in rendered:
-            lines.append(f"  n{island.parent} -> n{island.id};")
+    lines += edges
     lines.append("}")
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 

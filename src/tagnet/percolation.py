@@ -96,9 +96,6 @@ class IslandTree:
     def islands_at(self, level: int) -> list[Island]:
         return [isl for isl in self.islands if isl.level == level]
 
-    def children(self, island_id: int) -> list[Island]:
-        return [isl for isl in self.islands if isl.parent == island_id]
-
 
 def filter_edges(C: CorrelationMatrix, phi: float) -> set[tuple[int, int]]:
     """Undirected edges (a, b), a < b, wherever C[a][b] > phi strictly."""
@@ -190,53 +187,42 @@ def build_tree(C: CorrelationMatrix, grid: FilterGrid | None = None) -> IslandTr
         if phi >= top:
             break  # no link survives: every island is a singleton
 
-    # labels[t, r]: smallest rank of r's island at level t.
+    # labels[t, r]: smallest rank of r's island at level t - 1; row 0 is the root.
     by_value = np.argsort(vv, kind="stable")
     vv = vv[by_value]
     ii = ii[by_value]
     jj = jj[by_value]
     cuts = np.searchsorted(vv, levels, side="right")
-    labels = np.empty((len(levels), n), dtype=np.intp)
+    labels = np.zeros((len(levels) + 1, n), dtype=np.intp)
     root = np.arange(n)
     end = len(vv)
     for t in range(len(levels) - 1, -1, -1):
         a, b = root[ii[cuts[t]:end]], root[jj[cuts[t]:end]]
         apart = a != b
         _join(root, a[apart], b[apart])
-        labels[t] = root
+        labels[t + 1] = root
         end = cuts[t]
     del ii, jj, vv, by_value
 
-    # sums[0] sums whole rows (the root); sums[t + 1] sums each row over its
-    # island at level t. Islands only refine, so the entries kept for one
-    # level are filtered again for the next.
-    sums = np.empty((len(levels) + 1, n))
+    # sums[t] sums each row over its island in labels[t]. Islands only refine, so
+    # the entries kept for one level are filtered again for the next.
+    sums = np.empty(labels.shape)
     for lo, hi, rows, cols, data in _blocks(C.values, order):
-        sums[0, lo:hi] = np.bincount(rows, weights=data, minlength=hi - lo)
         for t, label in enumerate(labels):
             inside = label[rows + lo] == label[cols]
             rows, cols, data = rows[inside], cols[inside], data[inside]
-            sums[t + 1, lo:hi] = np.bincount(rows, weights=data, minlength=hi - lo)
+            sums[t, lo:hi] = np.bincount(rows, weights=data, minlength=hi - lo)
 
-    root_island = Island(
-        id=0,
-        level=-1,
-        phi=None,
-        members=frozenset(ids),
-        parent=None,
-        characteristic=ids[int(np.argmax(sums[0]))],
-    )
-    islands = [root_island]
+    islands: list[Island] = []
     id_array = np.asarray(ids)
     owner = np.zeros(n, dtype=np.intp)  # rank -> island id at the previous level
-    for t, phi in enumerate(levels):
-        label = labels[t]
+    for t, (label, phi) in enumerate(zip(labels, [None, *levels])):
         # Islands by smallest member; within one, its best member comes first.
-        ranked = np.lexsort((-sums[t + 1], label))
+        ranked = np.lexsort((-sums[t], label))
         grouped = label[ranked]
         starts = np.r_[True, grouped[1:] != grouped[:-1]]
         first = np.flatnonzero(starts)
-        parents = owner[ranked[first]].tolist()
+        parents = owner[ranked[first]].tolist() if t else [None]
         base = len(islands)
         owner[ranked] = base + np.cumsum(starts) - 1
         member_ids = id_array[ranked].tolist()
@@ -246,7 +232,7 @@ def build_tree(C: CorrelationMatrix, grid: FilterGrid | None = None) -> IslandTr
             islands.append(
                 Island(
                     id=base + k,
-                    level=t,
+                    level=t - 1,
                     phi=phi,
                     members=frozenset(part),
                     parent=parents[k],

@@ -11,7 +11,7 @@ and W^T. Cross-kind correlations are deliberately not computed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -120,8 +120,30 @@ def cosine(u: SignatureVector, v: SignatureVector) -> float:
     return min(1.0, max(0.0, value))
 
 
+class _MemberIndex:
+    """Member-id lookup into a square matrix; subclasses are dataclasses with
+    members, names and values fields, values[k, l] over members k and l."""
+
+    def __post_init__(self) -> None:
+        n = len(self.members)
+        if n != len(set(self.members)):
+            raise ValueError("duplicate members")
+        if len(self.names) != n:
+            raise ValueError("names and members must align")
+        shape = np.shape(self.values)
+        if shape != (n, n):
+            raise ValueError(f"values of shape {shape} do not fit {n} members")
+        self._index = {m: k for k, m in enumerate(self.members)}
+
+    def index_of(self, member_id: int) -> int:
+        return self._index[member_id]
+
+    def value(self, a: int, b: int) -> float:
+        return float(self.values[self._index[a], self._index[b]])
+
+
 @dataclass
-class CorrelationMatrix:
+class CorrelationMatrix(_MemberIndex):
     """Symmetric cosine-similarity matrix over one node family.
 
     Values are in [0, 1]; the diagonal is 1 for members with a nonzero
@@ -135,14 +157,6 @@ class CorrelationMatrix:
     names: list[str]
     values: np.ndarray | sp.spmatrix
     zero_members: frozenset[int] = frozenset()
-    _index: dict[int, int] = field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        if len(self.members) != len(set(self.members)):
-            raise ValueError("duplicate members")
-        if len(self.names) != len(self.members):
-            raise ValueError("names and members must align")
-        self._index = {m: k for k, m in enumerate(self.members)}
 
     @property
     def size(self) -> int:
@@ -152,19 +166,12 @@ class CorrelationMatrix:
     def is_dense(self) -> bool:
         return isinstance(self.values, np.ndarray)
 
-    def index_of(self, member_id: int) -> int:
-        return self._index[member_id]
-
     def name_of(self, member_id: int) -> str:
         return self.names[self._index[member_id]]
 
-    def value(self, a: int, b: int) -> float:
-        return float(self.values[self._index[a], self._index[b]])
-
-    def row_dense(self, position: int) -> np.ndarray:
-        if self.is_dense:
-            return self.values[position]
-        return np.asarray(self.values.getrow(position).todense()).ravel()
+    def dense(self) -> np.ndarray:
+        """The values as an ndarray: the stored one, or a copy of the CSR."""
+        return self.values if self.is_dense else self.values.toarray()
 
     @classmethod
     def from_dense(

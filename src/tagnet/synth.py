@@ -11,20 +11,12 @@ from __future__ import annotations
 import math
 import random
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterable
 
 from .model import DataError, TaggingEvent
 
 _MAX_TAG_DRAWS = 20
-_INT_KEYS = (
-    "communities",
-    "tags_per_community",
-    "users_per_community",
-    "items_per_community",
-    "seed",
-)
-_FLOAT_KEYS = ("p_intra", "p_inter")
 
 
 @dataclass(frozen=True)
@@ -114,6 +106,9 @@ def pair_agreement(parts_a: Iterable[Iterable], parts_b: Iterable[Iterable]) -> 
 
 def load_config(path) -> PlantedConfig:
     """Parse a plain key = value file (# comments allowed) into a config."""
+    # field types are strings here: annotations are postponed in this module
+    types = {"int": int, "float": float}
+    parsers = {f.name: types[f.type] for f in fields(PlantedConfig)}
     values: dict[str, int | float] = {}
     with open(path, encoding="utf-8") as fh:
         for line_num, line in enumerate(fh, start=1):
@@ -125,12 +120,11 @@ def load_config(path) -> PlantedConfig:
             key, _, value = stripped.partition("=")
             key = key.strip()
             value = value.strip()
-            if key in _INT_KEYS:
-                parse = int
-            elif key in _FLOAT_KEYS:
-                parse = float
-            else:
+            parse = parsers.get(key)
+            if parse is None:
                 raise DataError(f"{path}:{line_num}: unknown key {key!r}")
+            if key in values:
+                raise DataError(f"{path}:{line_num}: duplicate key {key!r}")
             try:
                 values[key] = parse(value)
             except ValueError as exc:

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import tagnet.projection
 from tagnet import (
     CorrelationMatrix,
     DataError,
@@ -21,7 +22,7 @@ from tagnet import (
 )
 from tagnet.diversity import TagSpectrum
 
-from conftest import ev
+from conftest import ev, net_of
 
 
 def write(tmp_path, text, name="data.tsv"):
@@ -269,3 +270,34 @@ def test_dot_escapes_label_quotes(tmp_path):
     path = tmp_path / "t.dot"
     write_tree_dot(build_tree(c), path)
     assert 'label="say \\"hi\\""' in path.read_text()
+
+
+# -- read_matrix input checks and write_matrix storage -------------------------
+
+@pytest.mark.parametrize("text, line", [
+    (",a,b\na,1,0.5\nb,0.5\n", 3),
+    (",a,b\na,1,0.5\nb,0.5,1,0\n", 3),
+    (",a,b\na,1,x\nb,0.5,1\n", 2),
+    (",a,b\na,1,0.5\nc,0.5,1\n", 3),
+    (",a,b\nb,0.5,1\na,1,0.5\n", 2),
+    (",a,b\na,1,0.5\nb,0.5,1\nc,0,0\n", 4),
+    (",a,b\na,1,0.5\n", 3),
+], ids=["short-row", "long-row", "non-numeric", "renamed-row", "swapped-rows",
+        "extra-row", "missing-row"])
+def test_malformed_matrix_is_data_error_at_its_line(tmp_path, text, line):
+    path = write(tmp_path, text, name="m.csv")
+    with pytest.raises(DataError, match=f"m.csv:{line}: "):
+        read_matrix(path)
+
+
+def test_matrix_bytes_same_dense_or_sparse(tmp_path, monkeypatch):
+    net = net_of(ev("a", "x", "T", "U"), ev("b", "x", "T"), ev("b", "y", "T", "V"),
+                 ev("c", "y", "V", "W"), ev("c", "z", "X"), ev("d", "w", "Y"))
+    dense = correlation_matrix(net, "tags")
+    monkeypatch.setattr(tagnet.projection, "DENSE_LIMIT", 0)
+    sparse = correlation_matrix(net, "tags")
+    assert dense.is_dense and not sparse.is_dense
+    assert 0 < sparse.values.nnz < sparse.size ** 2
+    write_matrix(dense, tmp_path / "dense.csv")
+    write_matrix(sparse, tmp_path / "sparse.csv")
+    assert (tmp_path / "dense.csv").read_bytes() == (tmp_path / "sparse.csv").read_bytes()

@@ -13,6 +13,7 @@ from tagnet import (
     EntityRegistry,
     FilterGrid,
     SignatureVector,
+    SineMatrix,
     TaggingEvent,
     TripartiteNetwork,
     build_network,
@@ -419,3 +420,14 @@ def test_binary_matrix_matches_binary_signatures(view):
     again = correlation_matrix(net, family, view=view)
     assert np.array_equal(again.values, weighted.values)
     assert not np.array_equal(C.values, weighted.values)
+
+
+@pytest.mark.parametrize("make", [
+    lambda values: CorrelationMatrix("tag", "v", [0, 1], ["a", "b"], values),
+    lambda values: SineMatrix([0, 1], ["a", "b"], values),
+], ids=["correlation", "sine"])
+def test_values_must_fit_the_members(make):
+    for values in (np.eye(3), np.ones((2, 3)), np.ones(2), sp.csr_matrix(np.eye(3))):
+        with pytest.raises(ValueError, match="do not fit 2 members"):
+            make(values)
+    assert make(np.eye(2)).value(1, 1) == 1.0

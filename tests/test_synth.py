@@ -64,6 +64,11 @@ def test_bad_config_is_data_error(tmp_path, text, message):
         load_config(write(tmp_path, text))
 
 
+def test_repeated_key_is_data_error(tmp_path):
+    with pytest.raises(DataError, match="planted.cfg:5: duplicate key 'communities'"):
+        load_config(write(tmp_path, FULL + "communities = 3\n"))
+
+
 # -- planted recovery ---------------------------------------------------------
 
 @pytest.mark.parametrize("seed", range(1, 9))
