@@ -162,17 +162,12 @@ def island_activity(
     if user_spec.total <= 0:
         raise ValueError("user spectrum is empty")
 
-    s_total = sample_spec.total
-    u_total = user_spec.total
+    s_sums, u_sums = tree.island_sums(sample_spec.counts, user_spec.counts)
+    shares = np.stack([s_sums / sample_spec.total, u_sums / user_spec.total], axis=1)
     records: dict[int, IslandActivity] = {}
-    for island in tree.islands:
-        ids = sorted(island.members)
-        p_sample = sum(sample_spec.counts.get(m, 0) for m in ids) / s_total
-        p_user = sum(user_spec.counts.get(m, 0) for m in ids) / u_total
+    for k, (p_sample, p_user) in enumerate(shares.tolist()):
         ratio = p_user / p_sample if p_sample > 0 else None
-        records[island.id] = IslandActivity(
-            island.id, p_sample, p_user, ratio, activity_color(ratio)
-        )
+        records[k] = IslandActivity(k, p_sample, p_user, ratio, activity_color(ratio))
     return ActivityReport(user_spec.owner, records)
 
 

@@ -13,7 +13,7 @@ from typing import Iterable
 import numpy as np
 
 from .diversity import ActivityReport
-from .model import DataError, TaggingEvent, Triples
+from .model import DataError, TaggingEvent, Triples, _reject
 from .percolation import IslandTree
 from .projection import CorrelationMatrix
 
@@ -103,10 +103,7 @@ def _report(
     ])
     for k in np.flatnonzero(bad).tolist():
         line = line_num - ends[-1] + ends[k]
-        message = f"{path}:{line}: malformed record {rows[k]!r}"
-        if strict:
-            raise DataError(message)
-        logger.warning("skipping %s", message)
+        _reject(f"{path}:{line}: malformed record {rows[k]!r}", strict, logger)
 
 
 def _undecodable(path) -> int:
@@ -145,7 +142,7 @@ def write_matrix(C: CorrelationMatrix, path) -> None:
 
 def read_matrix(path) -> tuple[list[str], np.ndarray]:
     """Read back a matrix written by write_matrix; returns (names, values).
-    A row that does not fit the header is a DataError naming its path:line."""
+    A malformed, non-finite or asymmetric row is a DataError naming its path:line."""
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -162,6 +159,11 @@ def read_matrix(path) -> tuple[list[str], np.ndarray]:
                 values.append([float(v) for v in row[1:]])
             except ValueError as exc:
                 raise DataError(f"{where}: {exc}") from None
+            if not all(map(math.isfinite, values[k])):
+                raise DataError(f"{where}: non-finite value in row {names[k]!r}")
+            for j in range(k):
+                if values[k][j] != values[j][k]:
+                    raise DataError(f"{where}: {names[k]!r},{names[j]!r} is asymmetric")
         if len(values) < len(names):
             where = f"{path}:{reader.line_num + 1}"
             raise DataError(f"{where}: no row for {names[len(values)]!r}")
@@ -176,19 +178,21 @@ def write_tree_json(tree: IslandTree, path, report: ActivityReport | None = None
     """
     _check_report(tree, report)
     islands = []
-    for island in tree.islands:
+    ids, bounds = tree.members.tolist(), tree.start.tolist()
+    for k, (level, parent) in enumerate(zip(tree.level.tolist(), tree.parent.tolist())):
+        part = ids[bounds[k]:bounds[k + 1]]
         entry = {
-            "id": island.id,
-            "level": island.level,
-            "phi": island.phi,
-            "members": sorted(tree.names[m] for m in island.members),
-            "size": island.size,
-            "parent": island.parent,
-            "characteristic": tree.names[island.characteristic],
-            "singleton": island.is_singleton,
+            "id": k,
+            "level": level,
+            "phi": tree.levels[level] if level >= 0 else None,
+            "members": sorted(tree.names[m] for m in part),
+            "size": len(part),
+            "parent": parent if parent >= 0 else None,
+            "characteristic": tree.names[part[0]],
+            "singleton": len(part) == 1,
         }
         if report is not None:
-            record = report.records[island.id]
+            record = report.records[k]
             entry["p_sample"] = record.p_sample
             entry["p_user"] = record.p_user
             entry["r"] = record.ratio
@@ -197,7 +201,7 @@ def write_tree_json(tree: IslandTree, path, report: ActivityReport | None = None
     doc = {
         "family": tree.family,
         "levels": tree.levels,
-        "root": tree.root.id,
+        "root": 0,
         "islands": islands,
     }
     with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -224,22 +228,23 @@ def write_tree_dot(
         "  rankdir=TB;",
         "  node [shape=square, fixedsize=true];",
     ]
-    # A parent is drawn before its children, so each edge is known at its child.
-    rendered, edges = set(), []
-    for island in tree.islands:
-        if island.level >= 0 and island.is_singleton and not include_singletons:
+    # A drawn island's parent is drawn too: it holds at least as many members.
+    edges = []
+    sizes = np.diff(tree.start).tolist()
+    characteristic = tree.members[tree.start[:-1]].tolist()
+    for k, (level, parent) in enumerate(zip(tree.level.tolist(), tree.parent.tolist())):
+        if level >= 0 and sizes[k] == 1 and not include_singletons:
             continue
-        rendered.add(island.id)
-        if island.parent in rendered:
-            edges.append(f"  n{island.parent} -> n{island.id};")
-        width = DOT_WIDTH_SCALE * math.sqrt(island.size)
-        label = _dot_escape(tree.names[island.characteristic])
+        if parent >= 0:
+            edges.append(f"  n{parent} -> n{k};")
+        width = DOT_WIDTH_SCALE * math.sqrt(sizes[k])
+        label = _dot_escape(tree.names[characteristic[k]])
         attrs = [f'label="{label}"', f"width={width:.3f}", f"height={width:.3f}"]
         if report is not None:
-            color = report.records[island.id].color
+            color = report.records[k].color
             attrs.append("style=filled")
             attrs.append(f'fillcolor="#{color[0]:02x}{color[1]:02x}{color[2]:02x}"')
-        lines.append(f"  n{island.id} [{', '.join(attrs)}];")
+        lines.append(f"  n{k} [{', '.join(attrs)}];")
     lines += edges
     lines.append("}")
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -248,7 +253,7 @@ def write_tree_dot(
 def _check_report(tree: IslandTree, report: ActivityReport | None) -> None:
     if report is None:
         return
-    if set(report.records) != {island.id for island in tree.islands}:
+    if report.records.keys() != set(range(len(tree.level))):
         raise ValueError("activity report does not cover this tree")
 
 

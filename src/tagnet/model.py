@@ -85,9 +85,6 @@ class EntityRegistry:
     def __len__(self) -> int:
         return len(self.names)
 
-    def __contains__(self, name: str) -> bool:
-        return name in self.indices
-
 
 @dataclass(frozen=True)
 class TaggingEvent:
@@ -363,10 +360,10 @@ def _registry(kind: str, names: list[str]) -> EntityRegistry:
     return EntityRegistry(kind, names, dict(zip(names, range(len(names)))))
 
 
-def _reject(message: str, strict: bool) -> None:
+def _reject(message: str, strict: bool, log: logging.Logger = logger) -> None:
     if strict:
         raise DataError(message)
-    logger.warning("skipping %s", message)
+    log.warning("skipping %s", message)
 
 
 @dataclass(frozen=True)

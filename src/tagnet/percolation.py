@@ -15,6 +15,7 @@ phi grows, which is why the pass can run from the top level down.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable
 
 import numpy as np
@@ -75,19 +76,34 @@ class Island:
         return len(self.members) == 1
 
 
-@dataclass
+@dataclass(eq=False)
 class IslandTree:
     """Forest of islands across sweep levels, hung under a virtual root.
 
-    islands[0] is the root (level -1, full member set); the rest follow in
-    (level, smallest member id) order. names maps member ids to their
-    external names for exporters.
+    Island k has sweep level level[k], parent island parent[k] (both -1 for
+    the root, island 0) and member ids members[start[k]:start[k + 1]],
+    characteristic element first, in (level, smallest member id) order.
+    names maps member ids to their external names for exporters.
     """
 
     family: str
     levels: list[float]
-    islands: list[Island]
     names: dict[int, str]
+    level: np.ndarray
+    parent: np.ndarray
+    members: np.ndarray
+    start: np.ndarray
+
+    @cached_property
+    def islands(self) -> list[Island]:
+        """One Island record per island, in id order, built on first access."""
+        ids, bounds = self.members.tolist(), self.start.tolist()
+        rows = zip(self.level.tolist(), self.parent.tolist(), bounds, bounds[1:])
+        return [
+            Island(k, level, self.levels[level] if level >= 0 else None,
+                   frozenset(ids[lo:hi]), parent if parent >= 0 else None, ids[lo])
+            for k, (level, parent, lo, hi) in enumerate(rows)
+        ]
 
     @property
     def root(self) -> Island:
@@ -95,6 +111,13 @@ class IslandTree:
 
     def islands_at(self, level: int) -> list[Island]:
         return [isl for isl in self.islands if isl.level == level]
+
+    def island_sums(self, *weights: dict[int, float]) -> list[np.ndarray]:
+        """Each island's summed member weight per mapping (absent members add
+        0), added one member at a time in ascending id order from 0.0."""
+        island = np.repeat(np.arange(len(self.level)), np.diff(self.start))
+        ids = self.members[np.lexsort((self.members, island))].tolist()
+        return [np.bincount(island, [w.get(m, 0) for m in ids]) for w in weights]
 
 
 def filter_edges(C: CorrelationMatrix, phi: float) -> set[tuple[int, int]]:
@@ -187,7 +210,7 @@ def build_tree(C: CorrelationMatrix, grid: FilterGrid | None = None) -> IslandTr
         if phi >= top:
             break  # no link survives: every island is a singleton
 
-    # labels[t, r]: smallest rank of r's island at level t - 1; row 0 is the root.
+    # labels[t, r]: t * n + smallest rank of r's island at level t - 1; row 0: root.
     by_value = np.argsort(vv, kind="stable")
     vv = vv[by_value]
     ii = ii[by_value]
@@ -200,7 +223,7 @@ def build_tree(C: CorrelationMatrix, grid: FilterGrid | None = None) -> IslandTr
         a, b = root[ii[cuts[t]:end]], root[jj[cuts[t]:end]]
         apart = a != b
         _join(root, a[apart], b[apart])
-        labels[t + 1] = root
+        labels[t + 1] = root + (t + 1) * n
         end = cuts[t]
     del ii, jj, vv, by_value
 
@@ -213,35 +236,17 @@ def build_tree(C: CorrelationMatrix, grid: FilterGrid | None = None) -> IslandTr
             rows, cols, data = rows[inside], cols[inside], data[inside]
             sums[t, lo:hi] = np.bincount(rows, weights=data, minlength=hi - lo)
 
-    islands: list[Island] = []
-    id_array = np.asarray(ids)
-    owner = np.zeros(n, dtype=np.intp)  # rank -> island id at the previous level
-    for t, (label, phi) in enumerate(zip(labels, [None, *levels])):
-        # Islands by smallest member; within one, its best member comes first.
-        ranked = np.lexsort((-sums[t], label))
-        grouped = label[ranked]
-        starts = np.r_[True, grouped[1:] != grouped[:-1]]
-        first = np.flatnonzero(starts)
-        parents = owner[ranked[first]].tolist() if t else [None]
-        base = len(islands)
-        owner[ranked] = base + np.cumsum(starts) - 1
-        member_ids = id_array[ranked].tolist()
-        bounds = first.tolist() + [n]
-        for k in range(len(first)):
-            part = member_ids[bounds[k]:bounds[k + 1]]
-            islands.append(
-                Island(
-                    id=base + k,
-                    level=t - 1,
-                    phi=phi,
-                    members=frozenset(part),
-                    parent=parents[k],
-                    characteristic=part[0],
-                )
-            )
-
+    # Islands in (level, smallest member id) order, each best member first.
+    key = labels.ravel()
+    ranked = np.lexsort((-sums.ravel(), key))
+    grouped = key[ranked]
+    start = np.flatnonzero(np.r_[True, grouped[1:] != grouped[:-1], True])
+    heads = grouped[start[:-1]]
+    # An island's parent holds its first member one level up, n cells back.
+    parent = np.r_[-1, np.searchsorted(heads, key[ranked[start[1:-1]] - n])]
+    members = np.asarray(ids)[ranked % n]
     names = {m: C.names[k] for k, m in enumerate(C.members)}
-    return IslandTree(C.family, levels, islands, names)
+    return IslandTree(C.family, levels, names, heads // n - 1, parent, members, start)
 
 
 def _blocks(values, order):

@@ -166,9 +166,6 @@ class CorrelationMatrix(_MemberIndex):
     def is_dense(self) -> bool:
         return isinstance(self.values, np.ndarray)
 
-    def name_of(self, member_id: int) -> str:
-        return self.names[self._index[member_id]]
-
     def dense(self) -> np.ndarray:
         """The values as an ndarray: the stored one, or a copy of the CSR."""
         return self.values if self.is_dense else self.values.toarray()

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from tagnet import (
     CorrelationMatrix,
     EntityRegistry,
+    PlantedConfig,
     SineMatrix,
     TagSpectrum,
     TripartiteNetwork,
@@ -18,6 +19,7 @@ from tagnet import (
     correlation_matrix,
     diversity,
     entropy,
+    generate,
     island_activity,
     pairwise_distance,
     sine_matrix,
@@ -299,6 +301,33 @@ def test_sibling_sample_shares_sum_to_one():
         share = sum(report.records[isl.id].p_sample
                     for isl in tree.islands_at(level))
         assert share == pytest.approx(1.0, abs=1e-9)
+
+
+def _added_in_order(counts, ids):
+    total = 0
+    for m in ids:
+        total += counts.get(m, 0)
+    return total
+
+
+def test_weighted_island_shares_add_members_in_ascending_id_order():
+    # Weighted spectra count fractions 1/k, whose float sum depends on the order
+    # of addition. Each share is the island's members added one at a time in
+    # ascending id order from 0, over the spectrum's total.
+    net = build_network(generate(PlantedConfig(4, 10, 15, 20, seed=5))[0])
+    tree = build_tree(correlation_matrix(net, "tags"))
+    sample = tag_spectrum(net, weighted=True)
+    user = tag_spectrum(net, 3, weighted=True)
+    report = island_activity(tree, user, sample)
+    order_shows = False
+    for isl in tree.islands:
+        record = report.records[isl.id]
+        for spec, share in ((sample, record.p_sample), (user, record.p_user)):
+            ids = sorted(isl.members)
+            assert share == _added_in_order(spec.counts, ids) / spec.total
+            backwards = _added_in_order(spec.counts, ids[::-1]) / spec.total
+            order_shows |= backwards != share
+    assert order_shows  # some island's sum differs when added in another order
 
 
 def test_activity_requires_nonempty_spectra_and_tag_family():

@@ -73,6 +73,16 @@ def test_malformed_line_skipped_with_warning(tmp_path, caplog):
     assert ":2:" in caplog.text
 
 
+def test_malformed_line_warning_comes_from_the_io_logger(tmp_path, caplog):
+    # The CLI prints it as "WARNING tagnet.io: skipping <path>:<line>: ...".
+    path = write(tmp_path, "u\ti\ta\nu\tj\n")
+    with caplog.at_level("WARNING"):
+        read_triples(path)
+    assert [(r.name, r.getMessage()) for r in caplog.records] == [
+        ("tagnet.io", f"skipping {path}:2: malformed record ['u', 'j']")
+    ]
+
+
 def test_malformed_line_aborts_in_strict_mode(tmp_path):
     path = write(tmp_path, "u\ti\ta\nu\tj\n")
     with pytest.raises(DataError, match=":2"):
@@ -287,6 +297,21 @@ def test_dot_escapes_label_quotes(tmp_path):
 def test_malformed_matrix_is_data_error_at_its_line(tmp_path, text, line):
     path = write(tmp_path, text, name="m.csv")
     with pytest.raises(DataError, match=f"m.csv:{line}: "):
+        read_matrix(path)
+
+
+@pytest.mark.parametrize("text, where", [
+    (",a,b\na,1,nan\nb,inf,1\n", "m.csv:2: non-finite value in row 'a'"),
+    (",a,b\na,1,0.5\nb,-inf,1\n", "m.csv:3: non-finite value in row 'b'"),
+    (",a,b\na,NaN,0.5\nb,0.5,1\n", "m.csv:2: non-finite value in row 'a'"),
+    (",a,b\na,1,0.5\nb,0.5,Infinity\n", "m.csv:3: non-finite value in row 'b'"),
+    (",a,b\na,1,0.5\nb,0.4,1\n", "m.csv:3: 'b','a' is asymmetric"),
+    (",a,b,c\na,1,0,0.2\nb,0,1,0.3\nc,0.2,0.4,1\n", "m.csv:4: 'c','b' is asymmetric"),
+], ids=["nan-and-inf", "minus-inf", "nan-on-diagonal", "infinity", "asymmetric",
+        "asymmetric-later-column"])
+def test_nonfinite_or_asymmetric_matrix_is_data_error_at_its_line(tmp_path, text, where):
+    path = write(tmp_path, text, name="m.csv")
+    with pytest.raises(DataError, match=f"{where}$"):
         read_matrix(path)
 
 
