@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import TAG, TripartiteNetwork
+from .model import TAG, TripartiteNetwork, left_sum
 from .percolation import IslandTree
 from .projection import CorrelationMatrix, _MemberIndex
 
@@ -36,7 +36,7 @@ class TagSpectrum:
 
     @property
     def total(self) -> float:
-        return sum(self.counts.values())
+        return left_sum(self.counts.values())
 
 
 def tag_spectrum(
@@ -65,7 +65,7 @@ def entropy(spec: TagSpectrum) -> float:
     total = spec.total
     if total <= 0:
         raise ValueError("entropy is undefined for an empty spectrum")
-    return -sum(
+    return -left_sum(
         (c / total) * math.log(c / total) for c in spec.counts.values() if c > 0
     )
 

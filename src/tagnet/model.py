@@ -15,9 +15,9 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import chain, groupby
-from operator import itemgetter
+from operator import add, itemgetter
 from typing import Callable, Iterable, Iterator, Mapping
 
 import numpy as np
@@ -393,3 +393,8 @@ def degree_stats(net: TripartiteNetwork) -> DegreeStats:
         users_per_item=pairs / n_items if n_items else 0.0,
         tag_usage={tid: net.tag_link_count(tid) for tid in range(n_tags)},
     )
+
+
+def left_sum(values):
+    """Sum from 0 in iteration order, unlike the compensated sum() of 3.12+."""
+    return reduce(add, values, 0)

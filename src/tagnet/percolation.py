@@ -26,7 +26,7 @@ from .projection import CorrelationMatrix
 #: Grids may have at most this many levels below phi = 1.
 MAX_LEVELS = 1000
 
-#: Matrix rows summed per block; bounds the working copy of a dense matrix.
+#: Matrix rows read per block; bounds the CSR copy made of a dense matrix.
 BLOCK_ROWS = 128
 
 
@@ -124,9 +124,8 @@ def filter_edges(C: CorrelationMatrix, phi: float) -> set[tuple[int, int]]:
     """Undirected edges (a, b), a < b, wherever C[a][b] > phi strictly."""
     if not 0.0 <= phi < 1.0:
         raise ValueError("phi must lie in [0, 1)")
-    ids = sorted(C.members)
-    ii, jj, _ = _edges(C.values, [C.index_of(m) for m in ids], phi)
-    return {(ids[i], ids[j]) for i, j in zip(ii.tolist(), jj.tolist())}
+    ii, jj, _ = _edges(C.values, phi)
+    return {(C.members[i], C.members[j]) for i, j in zip(ii.tolist(), jj.tolist())}
 
 
 def components(
@@ -159,13 +158,13 @@ def characteristic_element(island, C: CorrelationMatrix) -> int:
     wins.
     """
     members = island.members if isinstance(island, Island) else island
-    ids = sorted(members)
-    if not ids:
+    index = sorted(map(C.index_of, members))
+    if not index:
         raise ValueError("island is empty")
-    sums = np.empty(len(ids))
-    for lo, hi, rows, _, data in _blocks(C.values, [C.index_of(m) for m in ids]):
+    sums = np.empty(len(index))
+    for lo, hi, rows, _, data in _blocks(C.values[index][:, index]):
         sums[lo:hi] = np.bincount(rows, weights=data, minlength=hi - lo)
-    return ids[int(np.argmax(sums))]
+    return C.members[index[int(np.argmax(sums))]]
 
 
 def build_tree(C: CorrelationMatrix, grid: FilterGrid | None = None) -> IslandTree:
@@ -193,12 +192,10 @@ def build_tree(C: CorrelationMatrix, grid: FilterGrid | None = None) -> IslandTr
     if grid is None:
         grid = FilterGrid()
 
-    # Work in id rank: position r holds the member with the r-th smallest id,
-    # so the smallest rank of a group is its smallest member id.
-    ids = sorted(C.members)
-    order = [C.index_of(m) for m in ids]
-    n = len(ids)
-    ii, jj, vv = _edges(C.values, order, grid.start)
+    # Members are in ascending id order, so the smallest index of a group is
+    # its smallest member id.
+    n = C.size
+    ii, jj, vv = _edges(C.values, grid.start)
 
     levels: list[float] = []
     top = vv.max(initial=grid.start)
@@ -230,7 +227,7 @@ def build_tree(C: CorrelationMatrix, grid: FilterGrid | None = None) -> IslandTr
     # sums[t] sums each row over its island in labels[t]. Islands only refine, so
     # the entries kept for one level are filtered again for the next.
     sums = np.empty(labels.shape)
-    for lo, hi, rows, cols, data in _blocks(C.values, order):
+    for lo, hi, rows, cols, data in _blocks(C.values):
         for t, label in enumerate(labels):
             inside = label[rows + lo] == label[cols]
             rows, cols, data = rows[inside], cols[inside], data[inside]
@@ -244,32 +241,30 @@ def build_tree(C: CorrelationMatrix, grid: FilterGrid | None = None) -> IslandTr
     heads = grouped[start[:-1]]
     # An island's parent holds its first member one level up, n cells back.
     parent = np.r_[-1, np.searchsorted(heads, key[ranked[start[1:-1]] - n])]
-    members = np.asarray(ids)[ranked % n]
+    members = np.asarray(C.members)[ranked % n]
     names = {m: C.names[k] for k, m in enumerate(C.members)}
     return IslandTree(C.family, levels, names, heads // n - 1, parent, members, start)
 
 
-def _blocks(values, order):
-    """Nonzero entries of values[order][:, order], BLOCK_ROWS rows at a time.
+def _blocks(values):
+    """Nonzero entries of a dense or CSR matrix, BLOCK_ROWS rows at a time.
 
-    Yields (lo, hi, rows, cols, data) for the rows lo..hi-1 of the reordered
-    matrix: rows are offsets from lo, cols are reordered column indices, and
-    each row's entries come in ascending column order.
+    Yields (lo, hi, rows, cols, data) for the rows lo..hi-1: rows are offsets
+    from lo, and each row's entries come in ascending column order. A sparse
+    matrix gets its indices sorted in place first, which leaves it equal.
     """
-    order = np.asarray(order, dtype=np.intp)
-    for lo in range(0, len(order), BLOCK_ROWS):
-        hi = min(lo + BLOCK_ROWS, len(order))
-        block = sp.csr_array(values[order[lo:hi]][:, order])
-        block.sort_indices()
-        coo = block.tocoo()
-        yield lo, hi, coo.row, coo.col, coo.data
+    if sp.issparse(values):
+        values.sort_indices()
+    for lo in range(0, values.shape[0], BLOCK_ROWS):
+        coo = sp.csr_array(values[lo:lo + BLOCK_ROWS]).tocoo()
+        yield lo, lo + coo.shape[0], coo.row, coo.col, coo.data
 
 
-def _edges(values, order, floor: float):
-    """Upper-triangle (row, col, value) arrays of values[order][:, order],
-    off the diagonal, wherever the value exceeds floor."""
+def _edges(values, floor: float):
+    """Upper-triangle (row, col, value) arrays of values, off the diagonal,
+    wherever the value exceeds floor."""
     ii, jj, vv = [np.empty(0, np.int32)], [np.empty(0, np.int32)], [np.empty(0)]
-    for lo, _, rows, cols, data in _blocks(values, order):
+    for lo, _, rows, cols, data in _blocks(values):
         rows = rows + lo
         keep = (rows < cols) & (data > floor)
         ii.append(rows[keep])

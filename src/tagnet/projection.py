@@ -16,10 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .model import ITEM, KINDS, TAG, USER, EntityRegistry, TripartiteNetwork
-
-#: Correlation matrices at or below this member count are stored dense.
-DENSE_LIMIT = 4096
+from .model import ITEM, KINDS, TAG, USER, EntityRegistry, TripartiteNetwork, left_sum
 
 #: view name -> (family kind, axis kind), the key of its incidence matrix
 VIEWS: dict[str, tuple[str, str]] = {
@@ -59,10 +56,8 @@ class SignatureVector:
 
     def dot(self, other: "SignatureVector") -> float:
         # summed in ascending coordinate order so dot(u, v) == dot(v, u) exactly
-        small, big = self.entries, other.entries
-        if len(small) > len(big):
-            small, big = big, small
-        return sum(small[k] * big[k] for k in sorted(small) if k in big)
+        shared = sorted(self.entries.keys() & other.entries.keys())
+        return left_sum(self.entries[k] * other.entries[k] for k in shared)
 
 
 def user_item_signature(net: TripartiteNetwork, user_id: int) -> SignatureVector:
@@ -122,7 +117,8 @@ def cosine(u: SignatureVector, v: SignatureVector) -> float:
 
 class _MemberIndex:
     """Member-id lookup into a square matrix; subclasses are dataclasses with
-    members, names and values fields, values[k, l] over members k and l."""
+    members, names and values fields, values[k, l] over members k and l.
+    Members are put in ascending id order, names and values permuted along."""
 
     def __post_init__(self) -> None:
         n = len(self.members)
@@ -133,6 +129,11 @@ class _MemberIndex:
         shape = np.shape(self.values)
         if shape != (n, n):
             raise ValueError(f"values of shape {shape} do not fit {n} members")
+        if any(a > b for a, b in zip(self.members, self.members[1:])):
+            order = sorted(range(n), key=self.members.__getitem__)
+            self.members = [self.members[k] for k in order]
+            self.names = [self.names[k] for k in order]
+            self.values = self.values[order][:, order]
         self._index = {m: k for k, m in enumerate(self.members)}
 
     def index_of(self, member_id: int) -> int:
@@ -147,8 +148,8 @@ class CorrelationMatrix(_MemberIndex):
     """Symmetric cosine-similarity matrix over one node family.
 
     Values are in [0, 1]; the diagonal is 1 for members with a nonzero
-    signature and 0 for flagged zero-signature members. Storage is a dense
-    ndarray up to DENSE_LIMIT members and scipy CSR beyond.
+    signature and 0 for flagged zero-signature members. correlation_matrix
+    stores scipy CSR; from_dense and hand-built matrices may hold an ndarray.
     """
 
     family: str
@@ -209,8 +210,9 @@ def correlation_matrix(
 ) -> CorrelationMatrix:
     """Pairwise cosine matrix of a family of entities under one view.
 
-    members defaults to every entity of the family. Zero-signature members
-    are flagged, get a 0 diagonal, and correlate 0 with everything.
+    members (default: the whole family) come out in ascending id order.
+    Zero-signature members are flagged, get a 0 diagonal, and correlate 0
+    with everything.
     """
     kind = _as_kind(family)
     if view is None:
@@ -220,9 +222,8 @@ def correlation_matrix(
 
     registry = _registry(net, kind)
     if members is None:
-        members = list(range(len(registry)))
-    else:
-        members = [registry.check(m) for m in members]
+        members = range(len(registry))
+    members = sorted(registry.check(m) for m in members)
 
     rows = net.incidence[VIEWS[view]][members]
     if binary:
@@ -230,11 +231,11 @@ def correlation_matrix(
     names = [registry.names[m] for m in members]
     values, zero_rows = _cosine_grid(rows)
     zero_members = frozenset(members[k] for k in zero_rows)
-    return CorrelationMatrix(kind, view, list(members), names, values, zero_members)
+    return CorrelationMatrix(kind, view, members, names, values, zero_members)
 
 
 def _cosine_grid(a: sp.csr_matrix):
-    """All-pairs cosine of the rows of a; returns (matrix, zero row indices).
+    """All-pairs cosine of the rows of a; returns (CSR matrix, zero row indices).
 
     Each cosine is G[i, j] / sqrt(G[i, i] * G[j, j]) on the Gram matrix
     G = A A^T of the raw signatures. For 0/1 signatures G is exact, so each
@@ -255,10 +256,7 @@ def _cosine_grid(a: sp.csr_matrix):
     grid.data /= scale
     del scale
     np.clip(grid.data, 0.0, 1.0, out=grid.data)
-    zero_rows = np.flatnonzero(gram == 0.0).tolist()
-    if a.shape[0] <= DENSE_LIMIT:
-        return grid.toarray(), zero_rows
-    return grid, zero_rows
+    return grid, np.flatnonzero(gram == 0.0).tolist()
 
 
 def top_n(net: TripartiteNetwork, family: str, n: int) -> list[int]:

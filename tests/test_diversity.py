@@ -10,6 +10,7 @@ from tagnet import (
     CorrelationMatrix,
     EntityRegistry,
     PlantedConfig,
+    SignatureVector,
     SineMatrix,
     TagSpectrum,
     TripartiteNetwork,
@@ -113,6 +114,19 @@ def test_entropy_frozen_example():
 def test_entropy_empty_spectrum_rejected():
     with pytest.raises(ValueError):
         entropy(spec_of({}))
+
+
+def test_float_sums_add_one_term_at_a_time_from_zero():
+    # Added in order, ten 0.1s give 0.9999999999999999; correctly rounded, as
+    # math.fsum or the compensated sum() of Python 3.12+ gives, they are 1.0.
+    tenths = dict.fromkeys(range(10), 0.1)
+    assert spec_of(tenths).total == 0.9999999999999999
+    u = SignatureVector("tag", 0, "item", tenths)
+    v = SignatureVector("tag", 1, "item", dict.fromkeys(range(10), 1.0))
+    assert u.dot(v) == v.dot(u) == 0.9999999999999999
+    # These terms give -1.6398230881290614 in order, -1.6398230881290616 by fsum.
+    spec = spec_of(enumerate([3, 2, 5, 2, 8, 8]))
+    assert entropy(spec) == 1.6398230881290614
 
 
 @given(counts=st.lists(st.integers(min_value=1, max_value=40), min_size=1,

@@ -1,10 +1,10 @@
+import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
 
-import tagnet.projection
 from tagnet import (
     CorrelationMatrix,
     DataError,
@@ -315,12 +315,11 @@ def test_nonfinite_or_asymmetric_matrix_is_data_error_at_its_line(tmp_path, text
         read_matrix(path)
 
 
-def test_matrix_bytes_same_dense_or_sparse(tmp_path, monkeypatch):
+def test_matrix_bytes_same_dense_or_sparse(tmp_path):
     net = net_of(ev("a", "x", "T", "U"), ev("b", "x", "T"), ev("b", "y", "T", "V"),
                  ev("c", "y", "V", "W"), ev("c", "z", "X"), ev("d", "w", "Y"))
-    dense = correlation_matrix(net, "tags")
-    monkeypatch.setattr(tagnet.projection, "DENSE_LIMIT", 0)
     sparse = correlation_matrix(net, "tags")
+    dense = dataclasses.replace(sparse, values=sparse.dense())
     assert dense.is_dense and not sparse.is_dense
     assert 0 < sparse.values.nnz < sparse.size ** 2
     write_matrix(dense, tmp_path / "dense.csv")

@@ -9,12 +9,12 @@ IslandTree.islands to raise: the CLI reads the tree's arrays and never builds
 Island records.
 """
 
+import dataclasses
 import hashlib
 
 import pytest
 
 import tagnet.cli
-import tagnet.projection
 from tagnet import IslandTree, PlantedConfig, build_tree, generate, write_triples
 from tagnet.cli import EXIT_OK, main
 
@@ -65,18 +65,19 @@ def test_tag_tree_is_pinned_and_same_dense_or_sparse(corpus, tmp_path, capsys,
     dense_flags = []
 
     def sweep(matrix, grid):
+        if dense_flags:  # the second run sweeps the same matrix stored dense
+            matrix = dataclasses.replace(matrix, values=matrix.dense())
         dense_flags.append(matrix.is_dense)
         return build_tree(matrix, grid)
 
     monkeypatch.setattr(tagnet.cli, "build_tree", sweep)
     run(capsys, "tree", "--input", corpus, "--out-json", str(tmp_path / "tags.json"),
         "--out-dot", str(tmp_path / "tags.dot"))
-    monkeypatch.setattr(tagnet.projection, "DENSE_LIMIT", 0)
-    run(capsys, "tree", "--input", corpus, "--out-json", str(tmp_path / "csr.json"),
-        "--out-dot", str(tmp_path / "csr.dot"))
-    assert dense_flags == [True, False]
+    run(capsys, "tree", "--input", corpus, "--out-json", str(tmp_path / "dense.json"),
+        "--out-dot", str(tmp_path / "dense.dot"))
+    assert dense_flags == [False, True]
     for suffix in ("json", "dot"):
-        dense, csr = tmp_path / f"tags.{suffix}", tmp_path / f"csr.{suffix}"
+        csr, dense = tmp_path / f"tags.{suffix}", tmp_path / f"dense.{suffix}"
         assert dense.read_bytes() == csr.read_bytes()
     assert_pinned(tmp_path, "tags.json", "tags.dot")
 

@@ -5,7 +5,7 @@ import random
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from tagnet import (
@@ -319,9 +319,27 @@ def test_ties_at_exact_one_stop_at_grid_end():
 TIE_VALUES = [0.0, 0.05, 0.1, 0.2, 0.25, 0.3, 0.5, 0.5000000000000001, 1.0]
 
 
+def descending_csr(c):
+    """CSR of c whose rows store their entries in descending column order."""
+    n = len(c)
+    flipped = sp.csr_matrix(c[:, ::-1])
+    return sp.csr_matrix((flipped.data, n - 1 - flipped.indices, flipped.indptr),
+                         shape=(n, n))
+
+
+# Summed in descending column order, row 3 would beat row 1 at the root.
+DESCENDING_SUMS_DIFFER = np.array([
+    [1.0, 0.3, 0.0, 0.5000000000000001],
+    [0.3, 1.0, 0.5000000000000001, 0.5],
+    [0.0, 0.5000000000000001, 1.0, 0.3],
+    [0.5000000000000001, 0.5, 0.3, 1.0],
+])
+
+
 @st.composite
 def stored_matrices(draw):
-    """Random symmetric matrices with exact ties, dense or CSR, members shuffled."""
+    """Random symmetric matrices with exact ties, members shuffled: dense, CSR,
+    or CSR whose rows store their entries in descending column order."""
     n = draw(st.integers(min_value=1, max_value=9))
     c = np.zeros((n, n))
     for i in range(n):
@@ -329,7 +347,8 @@ def stored_matrices(draw):
         for j in range(i + 1, n):
             c[i, j] = c[j, i] = draw(st.sampled_from(TIE_VALUES))
     members = draw(st.permutations(range(0, 3 * n, 3)))
-    values = sp.csr_matrix(c) if draw(st.booleans()) else c
+    storage = draw(st.sampled_from([np.asarray, sp.csr_matrix, descending_csr]))
+    values = storage(c)
     names = [f"m{m}" for m in members]
     return CorrelationMatrix("tag", "direct", list(members), names, values)
 
@@ -342,6 +361,8 @@ grids = st.builds(
 
 
 @given(C=stored_matrices(), grid=grids)
+@example(C=CorrelationMatrix("tag", "direct", [0, 1, 2, 3], ["a", "b", "c", "d"],
+                            descending_csr(DESCENDING_SUMS_DIFFER)), grid=FilterGrid())
 def test_sweep_matches_bruteforce_oracle_with_ties(C, grid):
     levels, structure = oracle_tree(C, grid)
     tree = build_tree(C, grid)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 
@@ -210,7 +211,7 @@ def test_identical_libraries_correlate_one():
 def test_disjoint_tags_give_identity_matrix():
     net = net_of(ev("a", "x", "T1"), ev("b", "y", "T2"), ev("c", "z", "T3"))
     C = correlation_matrix(net, "tags")
-    assert np.array_equal(C.values, np.eye(3))
+    assert np.array_equal(C.dense(), np.eye(3))
 
 
 @pytest.mark.parametrize("view", ["users-via-items", "items-via-users",
@@ -234,7 +235,7 @@ def test_matrix_matches_bruteforce_oracle(view):
                       for k, v in vecs.get(by_name.name_of(b), {}).items()}
                 expected = 1.0 if a == b and e1 else oracle_cosine(e1, e2)
                 assert C.value(a, b) == pytest.approx(expected, abs=1e-12)
-        assert np.array_equal(C.values, C.values.T)
+        assert np.array_equal(C.dense(), C.dense().T)
 
 
 def test_zero_signature_members_are_flagged():
@@ -249,17 +250,17 @@ def test_zero_signature_members_are_flagged():
     assert C.value(0, 0) == 1.0
 
 
-def test_sparse_storage_beyond_dense_limit(monkeypatch):
+def test_sparse_storage_at_every_size():
     net = net_of(ev("a", "x", "T"), ev("a", "y", "T"),
                  ev("b", "x", "T"), ev("c", "z", "U"))
-    dense = correlation_matrix(net, "users")
-    monkeypatch.setattr(tagnet.projection, "DENSE_LIMIT", 2)
-    sparse = correlation_matrix(net, "users")
-    assert not sparse.is_dense
-    assert sp.issparse(sparse.values)
-    for a in dense.members:
-        for b in dense.members:
-            assert sparse.value(a, b) == pytest.approx(dense.value(a, b), abs=1e-12)
+    for members in ([0], [0, 2], None):
+        sparse = correlation_matrix(net, "users", members=members)
+        dense = dataclasses.replace(sparse, values=sparse.dense())
+        assert not sparse.is_dense and dense.is_dense
+        assert sp.issparse(sparse.values)
+        for a in dense.members:
+            for b in dense.members:
+                assert sparse.value(a, b) == dense.value(a, b)
 
 
 def test_member_subset_and_view_validation():
@@ -272,6 +273,26 @@ def test_member_subset_and_view_validation():
         correlation_matrix(net, "tags", members=[7])
     with pytest.raises(ValueError):
         correlation_matrix(net, "tags", members=[0, 0])
+
+
+def test_members_come_out_in_ascending_id_order():
+    net = net_of(ev("a", "x", "T", "U"), ev("b", "x", "T"), ev("b", "y", "V", "W"),
+                 ev("c", "y", "U", "W"))
+    full = correlation_matrix(net, "tags")
+    shuffled = [3, 0, 2, 1]
+    C = correlation_matrix(net, "tags", members=shuffled)
+    assert C.members == full.members == [0, 1, 2, 3]
+    assert C.names == full.names == ["t", "u", "v", "w"]
+    assert (C.values != full.values).nnz == 0
+    # Hand-built matrices are put in the same order, names and values along.
+    names = [C.names[m] for m in shuffled]
+    values = C.dense()[np.ix_(shuffled, shuffled)]
+    for stored in (values, sp.csr_matrix(values)):
+        by_hand = CorrelationMatrix("tag", "v", list(shuffled), names, stored)
+        assert by_hand.members == C.members and by_hand.names == C.names
+        assert np.array_equal(by_hand.dense(), C.dense())
+    sine = SineMatrix(list(shuffled), names, values)
+    assert sine.members == C.members and np.array_equal(sine.values, C.dense())
 
 
 # -- top_n --------------------------------------------------------------------
@@ -383,21 +404,19 @@ corpora = st.lists(
 def test_sparse_storage_equals_dense_exactly(rows, view):
     net = build_network([TaggingEvent(u, i, tuple(t)) for u, i, t in rows])
     family = view.split("-")[0]
-    dense = correlation_matrix(net, family, view=view)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(tagnet.projection, "DENSE_LIMIT", 0)
-        sparse = correlation_matrix(net, family, view=view)
+    sparse = correlation_matrix(net, family, view=view)
+    dense = dataclasses.replace(sparse, values=sparse.dense())
     assert dense.is_dense and not sparse.is_dense
     assert np.array_equal(dense.values, dense.values.T)
     assert (sparse.values != sparse.values.T).nnz == 0
-    assert np.array_equal(sparse.values.toarray(), dense.values)
+    pairs = [(a, b) for a in sparse.members for b in sparse.members]
+    assert [sparse.value(a, b) for a, b in pairs] == [dense.value(a, b) for a, b in pairs]
     assert sparse.zero_members == dense.zero_members
     for m in dense.members:
         assert dense.value(m, m) == (0.0 if m in dense.zero_members else 1.0)
 
 
-def test_sparse_correlation_keeps_int32_indices(monkeypatch):
-    monkeypatch.setattr(tagnet.projection, "DENSE_LIMIT", 0)
+def test_sparse_correlation_keeps_int32_indices():
     net = net_of(ev("a", "x", "T"), ev("b", "x", "U"), ev("b", "y", "T"))
     for family in ("users", "items", "tags"):
         values = correlation_matrix(net, family).values
@@ -418,8 +437,8 @@ def test_binary_matrix_matches_binary_signatures(view):
             assert C.value(a, b) == pytest.approx(cosine(sigs[a], sigs[b]), abs=1e-12)
     # the binary copy leaves the network's weights alone
     again = correlation_matrix(net, family, view=view)
-    assert np.array_equal(again.values, weighted.values)
-    assert not np.array_equal(C.values, weighted.values)
+    assert np.array_equal(again.dense(), weighted.dense())
+    assert not np.array_equal(C.dense(), weighted.dense())
 
 
 @pytest.mark.parametrize("make", [
