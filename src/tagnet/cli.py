@@ -9,6 +9,7 @@ import argparse
 import dataclasses
 import logging
 import sys
+from pathlib import Path
 
 from .diversity import (
     diversity,
@@ -127,11 +128,19 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _grid(args) -> FilterGrid:
+def _tree_options(args, family: str, *outputs) -> tuple[int, FilterGrid]:
+    """Check a tree command's top-n, grid and output directories up front."""
+    n = args.top_n if args.top_n is not None else DEFAULT_TOP_N[family]
+    if n < 2:
+        raise UsageError("--top-n must be at least 2")
     try:
-        return FilterGrid(args.phi_start, args.phi_step)
+        grid = FilterGrid(args.phi_start, args.phi_step)
     except ValueError as exc:
         raise UsageError(f"bad phi grid: {exc}") from None
+    for path in map(Path, filter(None, outputs)):
+        if not path.parent.is_dir():
+            raise DataError(f"cannot write {path}: no directory {path.parent}")
+    return n, grid
 
 
 def _load_network(args):
@@ -150,13 +159,10 @@ def cmd_stats(args) -> int:
 
 
 def cmd_tree(args) -> int:
-    n = args.top_n if args.top_n is not None else DEFAULT_TOP_N[args.family]
-    if n < 2:
-        raise UsageError("--top-n must be at least 2")
     kind = FAMILY_KIND[args.family]
     if args.view is not None and VIEWS[args.view][0] != kind:
         raise UsageError(f"view {args.view!r} does not project family {args.family!r}")
-    grid = _grid(args)
+    n, grid = _tree_options(args, args.family, args.out_json, args.out_dot)
     net = _load_network(args)
     members = top_n(net, kind, n)
     if len(members) < 2:
@@ -169,10 +175,7 @@ def cmd_tree(args) -> int:
 
 
 def cmd_diversity(args) -> int:
-    n = args.top_n if args.top_n is not None else DEFAULT_TOP_N["tags"]
-    if n < 2:
-        raise UsageError("--top-n must be at least 2")
-    grid = _grid(args)
+    n, grid = _tree_options(args, "tags", args.out_dot, args.out_json)
     net = _load_network(args)
     uid = net.users.id_of(args.user)
     user_spec = tag_spectrum(net, uid, weighted=args.weighted_tau)

@@ -7,6 +7,7 @@ import json
 import logging
 import math
 from itertools import compress, islice
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Iterable
 
@@ -174,39 +175,50 @@ def write_tree_json(tree: IslandTree, path, report: ActivityReport | None = None
     """JSON document of the sweep: levels plus one record per island.
 
     Islands appear in (level, smallest member id) order with the virtual
-    root first; singletons are kept and carry a rendering-hint marker.
+    root first; singletons are kept and carry a rendering-hint marker. The
+    bytes are json.dump(doc, indent=2, sort_keys=True)'s plus a final newline:
+    sorted keys, a two-space indent, ASCII with \\uXXXX escapes (surrogate
+    pairs above U+FFFF), floats as Python's shortest repr and null for None.
     """
     _check_report(tree, report)
-    islands = []
-    ids, bounds = tree.members.tolist(), tree.start.tolist()
-    for k, (level, parent) in enumerate(zip(tree.level.tolist(), tree.parent.tolist())):
-        part = ids[bounds[k]:bounds[k + 1]]
-        entry = {
-            "id": k,
-            "level": level,
-            "phi": tree.levels[level] if level >= 0 else None,
-            "members": sorted(tree.names[m] for m in part),
-            "size": len(part),
-            "parent": parent if parent >= 0 else None,
-            "characteristic": tree.names[part[0]],
-            "singleton": len(part) == 1,
-        }
-        if report is not None:
-            record = report.records[k]
-            entry["p_sample"] = record.p_sample
-            entry["p_user"] = record.p_user
-            entry["r"] = record.ratio
-            entry["color"] = list(record.color)
-        islands.append(entry)
-    doc = {
-        "family": tree.family,
-        "levels": tree.levels,
-        "root": 0,
-        "islands": islands,
+    by_name = sorted(tree.names, key=tree.names.__getitem__)
+    rank = dict(zip(by_name, range(len(by_name))))
+    quoted = [encode_basestring_ascii(tree.names[m]) for m in by_name]
+    island, sizes, characteristic = tree.layout
+    ranks = np.array([rank[m] for m in tree.members.tolist()])
+    texts = [quoted[r] for r in ranks[np.lexsort((ranks, island))].tolist()]
+    bounds, levels, sizes = tree.start.tolist(), tree.level.tolist(), sizes.tolist()
+    phi = [json.dumps(p) for p in tree.levels]
+    columns = {
+        "characteristic": [quoted[rank[m]] for m in characteristic.tolist()],
+        "id": range(len(levels)),
+        "level": levels,
+        "members": (_array(texts[lo:hi], 6) for lo, hi in zip(bounds, bounds[1:])),
+        "parent": ["null" if p < 0 else p for p in tree.parent.tolist()],
+        "phi": ["null" if level < 0 else phi[level] for level in levels],
+        "singleton": ["true" if size == 1 else "false" for size in sizes],
+        "size": sizes,
     }
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    if report is not None:
+        activity = [report.records[k] for k in range(len(levels))]
+        columns["color"] = [_array(list(map(str, a.color)), 6) for a in activity]
+        columns["p_sample"] = [json.dumps(a.p_sample) for a in activity]
+        columns["p_user"] = [json.dumps(a.p_user) for a in activity]
+        columns["r"] = [json.dumps(a.ratio) for a in activity]
+    keys = sorted(columns)
+    record = "{\n" + ",\n".join(f'      "{key}": %s' for key in keys) + "\n    }"
+    islands = (record % row for row in zip(*(columns[key] for key in keys)))
+    with open(path, "w", encoding="utf-8", newline="") as fh:  # never held whole
+        fh.write(f'{{\n  "family": {encode_basestring_ascii(tree.family)},\n')
+        fh.write(f'  "islands": [\n    {next(islands)}')  # the root
+        fh.writelines(",\n    " + text for text in islands)
+        fh.write(f'\n  ],\n  "levels": {_array(phi, 2)},\n  "root": 0\n}}\n')
+
+
+def _array(items: list[str], indent: int) -> str:
+    """JSON array of item texts, laid out as json.dump(indent=2) does at indent."""
+    pad = "\n" + " " * indent
+    return f"[{pad}  " + f",{pad}  ".join(items) + f"{pad}]" if items else "[]"
 
 
 def write_tree_dot(
@@ -230,15 +242,14 @@ def write_tree_dot(
     ]
     # A drawn island's parent is drawn too: it holds at least as many members.
     edges = []
-    sizes = np.diff(tree.start).tolist()
-    characteristic = tree.members[tree.start[:-1]].tolist()
+    sizes, characteristic = (a.tolist() for a in tree.layout[1:])
     for k, (level, parent) in enumerate(zip(tree.level.tolist(), tree.parent.tolist())):
         if level >= 0 and sizes[k] == 1 and not include_singletons:
             continue
         if parent >= 0:
             edges.append(f"  n{parent} -> n{k};")
         width = DOT_WIDTH_SCALE * math.sqrt(sizes[k])
-        label = _dot_escape(tree.names[characteristic[k]])
+        label = tree.names[characteristic[k]].replace("\\", "\\\\").replace('"', '\\"')
         attrs = [f'label="{label}"', f"width={width:.3f}", f"height={width:.3f}"]
         if report is not None:
             color = report.records[k].color
@@ -251,11 +262,5 @@ def write_tree_dot(
 
 
 def _check_report(tree: IslandTree, report: ActivityReport | None) -> None:
-    if report is None:
-        return
-    if report.records.keys() != set(range(len(tree.level))):
+    if report is not None and report.records.keys() != set(range(len(tree.level))):
         raise ValueError("activity report does not cover this tree")
-
-
-def _dot_escape(label: str) -> str:
-    return label.replace("\\", "\\\\").replace('"', '\\"')

@@ -112,10 +112,17 @@ class IslandTree:
     def islands_at(self, level: int) -> list[Island]:
         return [isl for isl in self.islands if isl.level == level]
 
+    @cached_property
+    def layout(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(island of each entry of members, island sizes, characteristic ids)."""
+        sizes = np.diff(self.start)
+        island = np.repeat(np.arange(sizes.size), sizes)
+        return island, sizes, self.members[self.start[:-1]]
+
     def island_sums(self, *weights: dict[int, float]) -> list[np.ndarray]:
         """Each island's summed member weight per mapping (absent members add
         0), added one member at a time in ascending id order from 0.0."""
-        island = np.repeat(np.arange(len(self.level)), np.diff(self.start))
+        island = self.layout[0]
         ids = self.members[np.lexsort((self.members, island))].tolist()
         return [np.bincount(island, [w.get(m, 0) for m in ids]) for w in weights]
 

@@ -57,6 +57,26 @@ def test_programmer_key_error_is_not_masked(tmp_path, triples, monkeypatch):
         main(tree_argv(tmp_path, triples))
 
 
+@pytest.mark.parametrize("command", [["tree"], ["diversity", "ann"]])
+@pytest.mark.parametrize("bad", ["--out-json", "--out-dot"])
+@pytest.mark.parametrize("parent", ["missing", "triples.tsv"])
+def test_unwritable_output_fails_before_ingest(tmp_path, triples, capsys, monkeypatch,
+                                               command, bad, parent):
+    def ingest(*args, **kwargs):
+        raise AssertionError("the input was read before the outputs were checked")
+
+    monkeypatch.setattr(tagnet.cli, "read_triples", ingest)
+    outputs = {"--out-json": tmp_path / "t.json", "--out-dot": tmp_path / "t.dot"}
+    outputs[bad] = tmp_path / parent / "t.out"
+    argv = [*command, "--input", str(triples)]
+    for flag, path in outputs.items():
+        argv += [flag, str(path)]
+    assert main(argv) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert f"cannot write {outputs[bad]}: no directory {tmp_path / parent}" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["triples.tsv"]
+
+
 # -- golden end-to-end runs ---------------------------------------------------
 # tests/golden holds a small triples file and the exact files each command
 # wrote for it; stdout is pinned here. A deliberate change of output rewrites

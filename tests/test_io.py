@@ -4,10 +4,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from tagnet import (
+    ActivityReport,
     CorrelationMatrix,
     DataError,
+    FilterGrid,
+    IslandActivity,
     build_network,
     build_tree,
     correlation_matrix,
@@ -325,3 +330,93 @@ def test_matrix_bytes_same_dense_or_sparse(tmp_path):
     write_matrix(dense, tmp_path / "dense.csv")
     write_matrix(sparse, tmp_path / "sparse.csv")
     assert (tmp_path / "dense.csv").read_bytes() == (tmp_path / "sparse.csv").read_bytes()
+
+
+# -- the JSON tree writer's bytes ----------------------------------------------
+
+def json_dump_text(tree, report=None):
+    """The tree document as json.dump wrote it from one dict per Island."""
+    islands = []
+    for isl in tree.islands:
+        entry = {
+            "id": isl.id,
+            "level": isl.level,
+            "phi": isl.phi,
+            "members": sorted(tree.names[m] for m in isl.members),
+            "size": isl.size,
+            "parent": isl.parent,
+            "characteristic": tree.names[isl.characteristic],
+            "singleton": isl.is_singleton,
+        }
+        if report is not None:
+            record = report.records[isl.id]
+            entry["p_sample"] = record.p_sample
+            entry["p_user"] = record.p_user
+            entry["r"] = record.ratio
+            entry["color"] = list(record.color)
+        islands.append(entry)
+    doc = {"family": tree.family, "levels": tree.levels, "root": 0, "islands": islands}
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+# Quotes, backslashes, control characters, non-ASCII text, a lone surrogate
+# and text beyond U+FFFF (written as a surrogate pair), plus any character.
+NAME_CHARS = st.characters() | st.sampled_from(
+    '"\\\t\n\r\x00\x1f\x7f/\u00e9\u2028\ud800\U0001f600'
+)
+FLOATS = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def trees_and_reports(draw):
+    """A tag tree over drawn names and grid, with or without a drawn report."""
+    n = draw(st.integers(min_value=1, max_value=6))
+    c = np.eye(n)
+    for i in range(n):
+        for j in range(i + 1, n):
+            c[i, j] = c[j, i] = draw(st.sampled_from([0.0, 0.1, 0.24, 0.5, 0.9]))
+    names = draw(st.lists(st.text(NAME_CHARS, max_size=5), min_size=n, max_size=n))
+    members = draw(st.permutations(range(0, 2 * n, 2)))
+    grid = draw(st.sampled_from([FilterGrid(), FilterGrid(0.1, 0.07),
+                                 FilterGrid(0.25, 0.25)]))
+    tree = build_tree(CorrelationMatrix("tag", "direct", members, names, c), grid)
+    if not draw(st.booleans()):
+        return tree, None
+    color = st.tuples(*[st.integers(min_value=0, max_value=255)] * 3)
+    records = {
+        k: IslandActivity(k, draw(FLOATS), draw(FLOATS), draw(st.none() | FLOATS),
+                          draw(color))
+        for k in range(len(tree.level))
+    }
+    return tree, ActivityReport("u", records)
+
+
+def _sparse_sample_report(tree):
+    """Activity of a user of tag 0 against a sample that never used tag 1,
+    so every island holding only tag 1 has an undefined ratio."""
+    sample = TagSpectrum("sample", {m: 0 if m == 1 else m + 1 for m in tree.names})
+    return island_activity(tree, TagSpectrum(0, {0: 3}), sample)
+
+
+LINKLESS = build_tree(CorrelationMatrix.from_dense(np.eye(2), names=["b", "a"]))
+# phi values 0.1, 0.17, 0.24000000000000002, ... have long reprs
+LONG_PHI = build_tree(CorrelationMatrix.from_dense([[1.0, 0.9], [0.9, 1.0]]),
+                      FilterGrid(0.1, 0.07))
+
+
+@given(case=trees_and_reports())
+@example(case=(LINKLESS, None))
+@example(case=(LINKLESS, _sparse_sample_report(LINKLESS)))
+@example(case=(LONG_PHI, None))
+@example(case=(LONG_PHI, _sparse_sample_report(LONG_PHI)))
+def test_tree_json_bytes_equal_json_dump(tmp_path_factory, case):
+    tree, report = case
+    path = tmp_path_factory.mktemp("json") / "t.json"
+    write_tree_json(tree, path, report=report)
+    assert path.read_bytes() == json_dump_text(tree, report).encode("ascii")
+
+
+def test_long_phi_and_undefined_ratio_examples_hold_what_they_name():
+    assert "0.24000000000000002" in json_dump_text(LONG_PHI)
+    ratios = [record.ratio for record in _sparse_sample_report(LINKLESS).records.values()]
+    assert None in ratios and any(r is not None for r in ratios)

@@ -375,3 +375,13 @@ def test_sweep_matches_bruteforce_oracle_with_ties(C, grid):
     assert [isl.id for isl in tree.islands] == list(range(len(tree.islands)))
     for isl in tree.islands[1:]:
         assert characteristic_element(isl, C) == isl.characteristic
+
+
+@given(C=stored_matrices(), grid=grids)
+def test_layout_matches_island_records(C, grid):
+    tree = build_tree(C, grid)
+    island, sizes, characteristic = tree.layout
+    assert sizes.tolist() == [isl.size for isl in tree.islands]
+    assert characteristic.tolist() == [isl.characteristic for isl in tree.islands]
+    assert island.tolist() == [isl.id for isl in tree.islands for _ in isl.members]
+    assert tree.layout is tree.layout
