@@ -129,7 +129,7 @@ def _build_parser() -> _Parser:
 
 
 def _tree_options(args, family: str, *outputs) -> tuple[int, FilterGrid]:
-    """Check a tree command's top-n, grid and output directories up front."""
+    """Check a tree command's top-n, grid and output paths up front."""
     n = args.top_n if args.top_n is not None else DEFAULT_TOP_N[family]
     if n < 2:
         raise UsageError("--top-n must be at least 2")
@@ -140,6 +140,8 @@ def _tree_options(args, family: str, *outputs) -> tuple[int, FilterGrid]:
     for path in map(Path, filter(None, outputs)):
         if not path.parent.is_dir():
             raise DataError(f"cannot write {path}: no directory {path.parent}")
+        if path.is_dir():
+            raise DataError(f"cannot write {path}: it is a directory")
     return n, grid
 
 

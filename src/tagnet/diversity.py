@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -137,12 +138,21 @@ class IslandActivity:
     color: tuple[int, int, int]
 
 
-@dataclass
+@dataclass(eq=False)
 class ActivityReport:
-    """Per-island activity records for one user against the sample."""
+    """One user's activity per island against the sample. The arrays are the
+    report, indexed by island id; records is a view built on first access."""
 
     user: int | str
-    records: dict[int, IslandActivity]
+    p_sample: np.ndarray
+    p_user: np.ndarray
+
+    @cached_property
+    def records(self) -> dict[int, IslandActivity]:
+        shares = zip(self.p_sample.tolist(), self.p_user.tolist())
+        ratios = [(s, u, u / s if s > 0 else None) for s, u in shares]
+        return {k: IslandActivity(k, s, u, r, activity_color(r))
+                for k, (s, u, r) in enumerate(ratios)}
 
 
 def island_activity(
@@ -162,13 +172,8 @@ def island_activity(
     if user_spec.total <= 0:
         raise ValueError("user spectrum is empty")
 
-    s_sums, u_sums = tree.island_sums(sample_spec.counts, user_spec.counts)
-    shares = np.stack([s_sums / sample_spec.total, u_sums / user_spec.total], axis=1)
-    records: dict[int, IslandActivity] = {}
-    for k, (p_sample, p_user) in enumerate(shares.tolist()):
-        ratio = p_user / p_sample if p_sample > 0 else None
-        records[k] = IslandActivity(k, p_sample, p_user, ratio, activity_color(ratio))
-    return ActivityReport(user_spec.owner, records)
+    s, u = tree.island_sums(sample_spec.counts, user_spec.counts)
+    return ActivityReport(user_spec.owner, s / sample_spec.total, u / user_spec.total)
 
 
 def activity_color(ratio: float | None) -> tuple[int, int, int]:

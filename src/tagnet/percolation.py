@@ -119,12 +119,20 @@ class IslandTree:
         island = np.repeat(np.arange(sizes.size), sizes)
         return island, sizes, self.members[self.start[:-1]]
 
+    @cached_property
+    def sum_index(self) -> tuple[list[int], np.ndarray]:
+        """Root's ids ascending; each entry's index there, in (island, id) order."""
+        ids = np.sort(self.members[:self.start[1]])
+        at = np.searchsorted(ids, self.members)
+        return ids.tolist(), at[np.lexsort((at, self.layout[0]))]
+
     def island_sums(self, *weights: dict[int, float]) -> list[np.ndarray]:
         """Each island's summed member weight per mapping (absent members add
-        0), added one member at a time in ascending id order from 0.0."""
-        island = self.layout[0]
-        ids = self.members[np.lexsort((self.members, island))].tolist()
-        return [np.bincount(island, [w.get(m, 0) for m in ids]) for w in weights]
+        0), added one member at a time in ascending id order from 0.0. Each
+        mapping is read once per sum_index id, then gathered for bincount."""
+        island, (ids, column) = self.layout[0], self.sum_index
+        vectors = (np.array([w.get(m, 0) for m in ids]) for w in weights)
+        return [np.bincount(island, x[column]) for x in vectors]
 
 
 def filter_edges(C: CorrelationMatrix, phi: float) -> set[tuple[int, int]]:

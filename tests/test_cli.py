@@ -77,6 +77,25 @@ def test_unwritable_output_fails_before_ingest(tmp_path, triples, capsys, monkey
     assert sorted(p.name for p in tmp_path.iterdir()) == ["triples.tsv"]
 
 
+@pytest.mark.parametrize("command", [["tree"], ["diversity", "ann"]])
+@pytest.mark.parametrize("bad", ["--out-json", "--out-dot"])
+def test_directory_output_fails_before_ingest(tmp_path, triples, capsys, monkeypatch,
+                                              command, bad):
+    def ingest(*args, **kwargs):
+        raise AssertionError("the input was read before the outputs were checked")
+
+    monkeypatch.setattr(tagnet.cli, "read_triples", ingest)
+    (tmp_path / "adir").mkdir()
+    outputs = {"--out-json": tmp_path / "t.json", "--out-dot": tmp_path / "t.dot"}
+    outputs[bad] = tmp_path / "adir"
+    argv = [*command, "--input", str(triples)]
+    for flag, path in outputs.items():
+        argv += [flag, str(path)]
+    assert main(argv) == EXIT_DATA
+    assert f"cannot write {outputs[bad]}: it is a directory" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["adir", "triples.tsv"]
+
+
 # -- golden end-to-end runs ---------------------------------------------------
 # tests/golden holds a small triples file and the exact files each command
 # wrote for it; stdout is pinned here. A deliberate change of output rewrites

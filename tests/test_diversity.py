@@ -1,3 +1,4 @@
+import importlib
 import math
 import random
 
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from tagnet import (
     CorrelationMatrix,
     EntityRegistry,
+    IslandActivity,
     PlantedConfig,
     SignatureVector,
     SineMatrix,
@@ -342,6 +344,45 @@ def test_weighted_island_shares_add_members_in_ascending_id_order():
             backwards = _added_in_order(spec.counts, ids[::-1]) / spec.total
             order_shows |= backwards != share
     assert order_shows  # some island's sum differs when added in another order
+
+
+def _weighted_planted_activity():
+    net = build_network(generate(PlantedConfig(4, 10, 15, 20, seed=5))[0])
+    tree = build_tree(correlation_matrix(net, "tags"))
+    sample = tag_spectrum(net, weighted=True)
+    user = tag_spectrum(net, 3, weighted=True)
+    return tree, user, sample
+
+
+def test_island_activity_builds_no_records(monkeypatch):
+    # tagnet.diversity is the diversity function; the module is imported by name.
+    module = importlib.import_module("tagnet.diversity")
+    tree, user, sample = _weighted_planted_activity()
+
+    def refuse(*args):
+        raise AssertionError("a record view was built")
+
+    monkeypatch.setattr(module, "IslandActivity", refuse)
+    monkeypatch.setattr(module, "activity_color", refuse)
+    report = island_activity(tree, user, sample)
+    assert len(report.p_sample) == len(report.p_user) == len(tree.islands)
+    with pytest.raises(AssertionError, match="record view"):
+        report.records
+
+
+def test_records_view_matches_per_island_formula():
+    tree, user, sample = _weighted_planted_activity()
+    report = island_activity(tree, user, sample)
+    expected = {}
+    for isl in tree.islands:
+        ids = sorted(isl.members)
+        p_sample = _added_in_order(sample.counts, ids) / sample.total
+        p_user = _added_in_order(user.counts, ids) / user.total
+        ratio = p_user / p_sample if p_sample > 0 else None
+        expected[isl.id] = IslandActivity(isl.id, p_sample, p_user, ratio,
+                                          activity_color(ratio))
+    assert report.records == expected
+    assert report.records is report.records
 
 
 def test_activity_requires_nonempty_spectra_and_tag_family():

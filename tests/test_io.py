@@ -12,7 +12,6 @@ from tagnet import (
     CorrelationMatrix,
     DataError,
     FilterGrid,
-    IslandActivity,
     build_network,
     build_tree,
     correlation_matrix,
@@ -364,12 +363,13 @@ def json_dump_text(tree, report=None):
 NAME_CHARS = st.characters() | st.sampled_from(
     '"\\\t\n\r\x00\x1f\x7f/\u00e9\u2028\ud800\U0001f600'
 )
-FLOATS = st.floats(allow_nan=False, allow_infinity=False)
+SHARES = st.floats(min_value=0.0, allow_infinity=False)
 
 
 @st.composite
 def trees_and_reports(draw):
-    """A tag tree over drawn names and grid, with or without a drawn report."""
+    """A tag tree over drawn names and grid, with or without a report of drawn
+    shares; zeros in p_sample leave those islands' ratios undefined."""
     n = draw(st.integers(min_value=1, max_value=6))
     c = np.eye(n)
     for i in range(n):
@@ -382,13 +382,10 @@ def trees_and_reports(draw):
     tree = build_tree(CorrelationMatrix("tag", "direct", members, names, c), grid)
     if not draw(st.booleans()):
         return tree, None
-    color = st.tuples(*[st.integers(min_value=0, max_value=255)] * 3)
-    records = {
-        k: IslandActivity(k, draw(FLOATS), draw(FLOATS), draw(st.none() | FLOATS),
-                          draw(color))
-        for k in range(len(tree.level))
-    }
-    return tree, ActivityReport("u", records)
+    k = len(tree.level)
+    p_sample = draw(st.lists(st.just(0.0) | SHARES, min_size=k, max_size=k))
+    p_user = draw(st.lists(SHARES, min_size=k, max_size=k))
+    return tree, ActivityReport("u", np.array(p_sample), np.array(p_user))
 
 
 def _sparse_sample_report(tree):

@@ -5,7 +5,7 @@ import random
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tagnet import (
@@ -385,3 +385,48 @@ def test_layout_matches_island_records(C, grid):
     assert characteristic.tolist() == [isl.characteristic for isl in tree.islands]
     assert island.tolist() == [isl.id for isl in tree.islands for _ in isl.members]
     assert tree.layout is tree.layout
+
+
+# -- island sums ----------------------------------------------------------------
+
+# Weights as spectra hold them: sums of fractions 1/k, other floats and counts.
+WEIGHTS = (
+    st.lists(st.integers(min_value=1, max_value=12), min_size=1, max_size=4)
+    .map(lambda ks: sum(1 / k for k in ks))
+    | st.floats(min_value=0.0, max_value=1e3)
+    | st.integers(min_value=0, max_value=20)
+)
+# Keys from the ids of the drawn trees (multiples of 3 up to 24) and others, so
+# mappings leave tree members out and name tags outside the tree.
+KEYS = st.sampled_from(range(0, 27, 3)) | st.integers(min_value=-2, max_value=30)
+WEIGHT_MAPS = st.lists(st.dictionaries(KEYS, WEIGHTS, max_size=20),
+                       min_size=1, max_size=3)
+# Nine members whose summed correlation grows with the id, so the root's entries
+# run 7, 8, 6, ..., 0, and weights 1/(m + 5) whose island sums change both in
+# that order and under a pairwise reduction.
+DESCENDING_ROOT = CorrelationMatrix.from_dense(
+    np.array([[1.0 if i == j else 0.01 * min(i, j) for j in range(9)]
+              for i in range(9)]),
+    family="tag",
+)
+FRACTIONS = {m: 1 / (m + 5) for m in range(9)}
+
+
+def added_in_ascending_id_order(members, weights):
+    total = 0.0
+    for m in sorted(members):
+        total += weights.get(m, 0)
+    return total
+
+
+# The example catches sums taken in sweep order or by a pairwise reduction; the
+# drawn cases catch both too, given 300 of them (the default 100 miss the second).
+@settings(max_examples=300)
+@given(C=stored_matrices(), grid=grids, weights=WEIGHT_MAPS)
+@example(C=DESCENDING_ROOT, grid=FilterGrid(), weights=[FRACTIONS])
+def test_island_sums_add_members_one_at_a_time_in_ascending_id_order(C, grid, weights):
+    tree = build_tree(C, grid)
+    expected = [[added_in_ascending_id_order(isl.members, w) for isl in tree.islands]
+                for w in weights]
+    assert [sums.tolist() for sums in tree.island_sums(*weights)] == expected
+    assert tree.sum_index is tree.sum_index
