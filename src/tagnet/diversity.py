@@ -66,7 +66,8 @@ def entropy(spec: TagSpectrum) -> float:
     total = spec.total
     if total <= 0:
         raise ValueError("entropy is undefined for an empty spectrum")
-    return -left_sum(
+    # 0.0 - x, not -x: a single-tag spectrum scores +0.0, not -0.0.
+    return 0.0 - left_sum(
         (c / total) * math.log(c / total) for c in spec.counts.values() if c > 0
     )
 

@@ -213,6 +213,12 @@ def correlation_matrix(
     members (default: the whole family) come out in ascending id order.
     Zero-signature members are flagged, get a 0 diagonal, and correlate 0
     with everything.
+
+    Requests are served from one cosine grid per view and binary flag, cached
+    on the network: a sub-block of it, or the grid itself when members are
+    all its ids. A miss grows the cached ids to their union with members.
+    Results are bit-identical whatever the call history, and matrices from
+    one network may share the grid's read-only storage.
     """
     kind = _as_kind(family)
     if view is None:
@@ -225,17 +231,25 @@ def correlation_matrix(
         members = range(len(registry))
     members = sorted(registry.check(m) for m in members)
 
-    rows = net.incidence[VIEWS[view]][members]
-    if binary:
-        rows.data[:] = 1.0
+    wanted = np.array(members, dtype=np.intp)
+    ids, grid = net._grids.get((view, binary), (wanted[:0], None))
+    pos = np.searchsorted(ids, wanted)
+    if grid is None or not (np.searchsorted(ids, wanted, "right") > pos).all():
+        ids = np.union1d(ids, wanted)
+        rows = net.incidence[VIEWS[view]][ids]
+        if binary:
+            rows.data[:] = 1.0
+        grid = _cosine_grid(rows)
+        net._grids[view, binary] = ids, grid
+        pos = np.searchsorted(ids, wanted)
+    values = grid if np.array_equal(ids, wanted) else grid[pos][:, pos]
     names = [registry.names[m] for m in members]
-    values, zero_rows = _cosine_grid(rows)
-    zero_members = frozenset(members[k] for k in zero_rows)
+    zero_members = frozenset(wanted[values.diagonal() == 0.0].tolist())
     return CorrelationMatrix(kind, view, members, names, values, zero_members)
 
 
-def _cosine_grid(a: sp.csr_matrix):
-    """All-pairs cosine of the rows of a; returns (CSR matrix, zero row indices).
+def _cosine_grid(a: sp.csr_matrix) -> sp.csr_matrix:
+    """All-pairs cosine of the rows of a, as CSR with sorted, read-only arrays.
 
     Each cosine is G[i, j] / sqrt(G[i, i] * G[j, j]) on the Gram matrix
     G = A A^T of the raw signatures. For 0/1 signatures G is exact, so each
@@ -256,7 +270,10 @@ def _cosine_grid(a: sp.csr_matrix):
     grid.data /= scale
     del scale
     np.clip(grid.data, 0.0, 1.0, out=grid.data)
-    return grid, np.flatnonzero(gram == 0.0).tolist()
+    grid.sort_indices()
+    for array in (grid.data, grid.indices, grid.indptr):
+        array.flags.writeable = False
+    return grid
 
 
 def top_n(net: TripartiteNetwork, family: str, n: int) -> list[int]:

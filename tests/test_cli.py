@@ -145,6 +145,15 @@ def test_golden_diversity(tmp_path, capsys):
     assert_golden(tmp_path, "diversity-ann.json", "diversity-ann.dot")
 
 
+def test_single_tag_user_prints_positive_zero_entropy(tmp_path, capsys):
+    path = tmp_path / "one.tsv"
+    path.write_text("ann\tx\tjazz\nbob\ty\tjazz\n", encoding="utf-8")
+    argv = ["diversity", "ann", "--input", str(path), "--out-dot", str(tmp_path / "d.dot")]
+    assert run_cli(capsys, *argv) == (
+        EXIT_OK, "user: ann\nentropy: 0.000000\ndiversity: 0.000000\n"
+    )
+
+
 @pytest.mark.parametrize("argv, out", [
     (["ann", "bob"], "cosine: 0.666667\ndistance: 1.162708\n"),
     (["ann", "eve", "--weighted-tau"], "cosine: 0.666667\ndistance: 1.362334\n"),

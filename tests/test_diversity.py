@@ -100,6 +100,11 @@ def test_entropy_single_tag_is_zero():
     assert entropy(spec_of({0: 5})) == 0.0
 
 
+def test_entropy_single_tag_is_positive_zero():
+    e = entropy(spec_of({0: 5}))
+    assert e == 0.0 and math.copysign(1.0, e) == 1.0
+
+
 @pytest.mark.parametrize("k", [2, 3, 7])
 def test_entropy_uniform_is_log_k(k):
     spec = spec_of({t: 4 for t in range(k)})

@@ -5,7 +5,7 @@ import random
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import tagnet.projection
@@ -450,3 +450,64 @@ def test_values_must_fit_the_members(make):
         with pytest.raises(ValueError, match="do not fit 2 members"):
             make(values)
     assert make(np.eye(2)).value(1, 1) == 1.0
+
+
+# -- the cached grid ------------------------------------------------------------
+
+def _request(net, view, members, binary):
+    """What correlation_matrix gives: the exception type, or the bytes of the
+    values and the member, name and zero-member lists."""
+    try:
+        C = correlation_matrix(net, view.split("-")[0], view=view,
+                               members=members, binary=binary)
+    except (KeyError, ValueError) as exc:
+        return type(exc)
+    dense = C.values.toarray()
+    return dense.shape, dense.tobytes(), C.members, C.names, sorted(C.zero_members)
+
+
+member_lists = st.one_of(
+    st.none(),                                       # the whole family
+    st.just([]),
+    st.just([7]),                                    # unknown in every family
+    st.integers(0, 3).map(lambda m: [m, m]),         # duplicate
+    st.lists(st.integers(0, 6), unique=True, max_size=6),
+)
+requests = st.lists(
+    st.tuples(st.sampled_from(sorted(tagnet.projection.VIEWS)), member_lists,
+              st.booleans()),
+    min_size=1,
+    max_size=6,
+)
+SHARED_TAGS = [("u0", "i0", ["t0", "t1"]), ("u1", "i0", ["t1", "t2"]),
+               ("u1", "i1", ["t0"]), ("u2", "i1", ["t2", "t3"])]
+
+
+@given(rows=corpora, calls=requests)
+@example(rows=SHARED_TAGS, calls=[("tags-via-items", [], False),
+                                  ("tags-via-items", [0, 2], False),
+                                  ("tags-via-items", None, False),
+                                  ("tags-via-items", [], False)])
+@example(rows=SHARED_TAGS, calls=[("tags-via-items", [1, 3], False),
+                                  ("tags-via-items", [0, 1, 2, 3], False),
+                                  ("tags-via-items", [1, 3], False)])
+def test_cached_grid_gives_what_a_fresh_network_gives(rows, calls):
+    def network():
+        return build_network([TaggingEvent(u, i, tuple(t)) for u, i, t in rows])
+
+    net = network()
+    for view, members, binary in calls:
+        assert _request(net, view, members, binary) == _request(
+            network(), view, members, binary)
+
+
+def test_whole_cached_grid_is_returned_uncopied_and_read_only():
+    net = net_of(ev("a", "x", "T", "U"), ev("b", "x", "T"), ev("b", "y", "V"))
+    full = correlation_matrix(net, "tags")
+    part = correlation_matrix(net, "tags", members=[0, 1])
+    again = correlation_matrix(net, "tags", members=[2, 0, 1])
+    assert again.values is full.values
+    assert not np.shares_memory(part.values.data, full.values.data)
+    for array in (full.values.data, full.values.indices, full.values.indptr):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0
