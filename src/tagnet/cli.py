@@ -183,14 +183,15 @@ def cmd_diversity(args) -> int:
     user_spec = tag_spectrum(net, uid, weighted=args.weighted_tau)
     sample_spec = tag_spectrum(net, weighted=args.weighted_tau)
 
+    # The tree's matrix first: the network keeps it as its first grid, and
+    # the user's own tags then add only their uncached rows.
+    matrix = correlation_matrix(net, TAG, members=top_n(net, TAG, n))
     own_tags = sorted(user_spec.counts)
     own_sine = sine_matrix(correlation_matrix(net, TAG, members=own_tags))
     print(f"user: {args.user}")
     print(f"entropy: {entropy(user_spec):.6f}")
     print(f"diversity: {diversity(user_spec, own_sine):.6f}")
 
-    members = top_n(net, TAG, n)
-    matrix = correlation_matrix(net, TAG, members=members)
     tree = build_tree(matrix, grid)
     report = island_activity(tree, user_spec, sample_spec)
     write_tree_dot(

@@ -174,10 +174,9 @@ class TripartiteNetwork:
     is built on first use. incidence maps a (row kind, column kind) pair to
     B, B^T, W or W^T as scipy CSR matrices with int32 indices, ascending in
     every row; a matrix of B's structure holds pair indices, so a user's
-    pairs are one row slice. projection.correlation_matrix caches one cosine
-    grid per view and binary flag in _grids. The object is safe to share
-    across readers: concurrent misses each compute a valid entry, and the
-    last store wins.
+    pairs are one row slice. projection.correlation_matrix caches cosine
+    rows per view and binary flag in _grids. The object is safe to share
+    across readers: each cache entry serializes its requests with a lock.
     """
 
     def __init__(
@@ -217,8 +216,8 @@ class TripartiteNetwork:
         }
         #: links per tag id
         self.tag_link_counts = np.bincount(self.link_tags, minlength=len(tags))
-        #: (view, binary) -> (ascending member ids, their cosine grid)
-        self._grids: dict[tuple[str, bool], tuple[np.ndarray, sp.csr_matrix]] = {}
+        #: (view, binary) -> projection._CosineRows
+        self._grids: dict[tuple[str, bool], object] = {}
 
     @cached_property
     def ownership(self) -> frozenset[tuple[int, int]]:

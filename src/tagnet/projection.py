@@ -11,6 +11,7 @@ and W^T. Cross-kind correlations are deliberately not computed.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -214,11 +215,11 @@ def correlation_matrix(
     Zero-signature members are flagged, get a 0 diagonal, and correlate 0
     with everything.
 
-    Requests are served from one cosine grid per view and binary flag, cached
-    on the network: a sub-block of it, or the grid itself when members are
-    all its ids. A miss grows the cached ids to their union with members.
-    Results are bit-identical whatever the call history, and matrices from
-    one network may share the grid's read-only storage.
+    Requests are served from cosine rows cached on the network, one set per
+    view and binary flag (_CosineRows): a request computes only the rows of
+    its members not cached yet, and an equal repeat of the network's first
+    request gets that grid itself. Results are bit-identical whatever the
+    call history, and matrices from one network may share read-only storage.
     """
     kind = _as_kind(family)
     if view is None:
@@ -231,49 +232,119 @@ def correlation_matrix(
         members = range(len(registry))
     members = sorted(registry.check(m) for m in members)
 
+    if any(a == b for a, b in zip(members, members[1:])):
+        raise ValueError("duplicate members")
+    cache = net._grids.get((view, binary))
+    if cache is None:
+        cache = net._grids.setdefault(
+            (view, binary), _CosineRows(net.incidence[VIEWS[view]], binary)
+        )
     wanted = np.array(members, dtype=np.intp)
-    ids, grid = net._grids.get((view, binary), (wanted[:0], None))
-    pos = np.searchsorted(ids, wanted)
-    if grid is None or not (np.searchsorted(ids, wanted, "right") > pos).all():
-        ids = np.union1d(ids, wanted)
-        rows = net.incidence[VIEWS[view]][ids]
-        if binary:
-            rows.data[:] = 1.0
-        grid = _cosine_grid(rows)
-        net._grids[view, binary] = ids, grid
-        pos = np.searchsorted(ids, wanted)
-    values = grid if np.array_equal(ids, wanted) else grid[pos][:, pos]
+    values = cache.block(wanted)
     names = [registry.names[m] for m in members]
-    zero_members = frozenset(wanted[values.diagonal() == 0.0].tolist())
+    zero_members = frozenset(wanted[cache.gram[wanted] == 0.0].tolist())
     return CorrelationMatrix(kind, view, members, names, values, zero_members)
 
 
-def _cosine_grid(a: sp.csr_matrix) -> sp.csr_matrix:
-    """All-pairs cosine of the rows of a, as CSR with sorted, read-only arrays.
+class _CosineRows:
+    """Cosine rows of one view's members, computed a batch per request.
 
-    Each cosine is G[i, j] / sqrt(G[i, i] * G[j, j]) on the Gram matrix
-    G = A A^T of the raw signatures. For 0/1 signatures G is exact, so each
+    A request computes the rows of its uncached members, a batch, against
+    every member cached by then, the batch included. So a pair is stored in
+    the row of its later member, or in both rows within a batch, and a block
+    over cached members is their rows cut to the block and mirrored. The
+    first batch is kept as its grid, which serves an equal request uncopied;
+    its rows index its own members, later rows index the family. Each cosine
+    is G[i, j] / sqrt(G[i, i] * G[j, j]) on the Gram matrix G = A A^T of the
+    raw signatures (the rows of a). For 0/1 signatures G is exact, so each
     cosine is rounded once and exact values stay exact: two users with 6
-    items sharing 3 correlate exactly 0.5.
+    items sharing 3 correlate exactly 0.5. A lock serializes requests.
     """
-    # Exactly symmetric: with every row of a in ascending column order,
-    # G[i, j] and G[j, i] add the same products in the same order.
-    a.sort_indices()
-    grid = (a @ a.T).tocsr()
 
-    # The diagonal comes out exactly 1: sqrt(x * x) is x in binary floating
-    # point, barring overflow and underflow. Zero rows store nothing.
-    gram = grid.diagonal()
-    scale = np.repeat(gram, np.diff(grid.indptr))
-    scale *= gram[grid.indices]
-    np.sqrt(scale, out=scale)
-    grid.data /= scale
-    del scale
-    np.clip(grid.data, 0.0, 1.0, out=grid.data)
-    grid.sort_indices()
-    for array in (grid.data, grid.indices, grid.indptr):
-        array.flags.writeable = False
-    return grid
+    def __init__(self, a: sp.csr_matrix, binary: bool) -> None:
+        n = a.shape[0]
+        self.a, self.binary, self.batches = a, binary, 0
+        self.batch = np.full(n, -1)      # batch number per member, -1 uncached
+        self.gram = np.zeros(n)          # G[m, m] per cached member
+        self.slot = np.full(n, -1)       # scratch: block position per member
+        self.cols: list = [None] * n     # per member: its row's columns
+        self.vals: list = [None] * n     # and cosines
+        self.first: tuple[np.ndarray, sp.csr_matrix] | None = None
+        self.lock = threading.Lock()
+
+    def block(self, wanted: np.ndarray) -> sp.csr_matrix:
+        with self.lock:
+            new = wanted[self.batch[wanted] < 0]
+            if new.size:
+                self._grow(new)
+            if self.first is not None and np.array_equal(self.first[0], wanted):
+                return self.first[1]
+            return self._gather(wanted)
+
+    def _grow(self, new: np.ndarray) -> None:
+        cached = self.batch >= 0
+        cached[new] = True
+        ids = np.flatnonzero(cached)
+        rows = self.a[ids]
+        if self.binary:
+            rows.data[:] = 1.0
+        rows.sort_indices()
+        at = np.searchsorted(ids, new)
+        # With every row in ascending column order, csr_matmat adds each
+        # G[i, j] over the shared columns in that order, whatever other rows
+        # are present: a block of any grid holding i and j has the bits of
+        # their own grid, and G[i, j] and G[j, i] are equal.
+        grid = ((rows[at] if len(at) < len(ids) else rows) @ rows.T).tocsr()
+        grid.sort_indices()
+        self.gram[new] = np.asarray(grid[np.arange(len(new)), at]).ravel()
+        # The diagonal comes out exactly 1: sqrt(x * x) is x in binary
+        # floating point, barring overflow and underflow. Zero rows store
+        # nothing.
+        scale = np.repeat(self.gram[new], np.diff(grid.indptr))
+        scale *= self.gram[ids][grid.indices]
+        np.sqrt(scale, out=scale)
+        grid.data /= scale
+        del scale
+        np.clip(grid.data, 0.0, 1.0, out=grid.data)
+        for array in (grid.data, grid.indices, grid.indptr):
+            array.flags.writeable = False
+        if self.first is None:
+            self.first = ids, grid
+        else:
+            self._keep(new, ids[grid.indices], grid)
+        self.batch[new] = self.batches
+        self.batches += 1
+
+    def _keep(self, members: np.ndarray, cols: np.ndarray, grid: sp.csr_matrix) -> None:
+        cut = grid.indptr[1:-1]
+        for m, c, v in zip(members.tolist(), np.split(cols, cut), np.split(grid.data, cut)):
+            self.cols[m], self.vals[m] = c, v
+
+    def _gather(self, wanted: np.ndarray) -> sp.csr_matrix:
+        if self.first is not None and self.cols[self.first[0][0]] is None:
+            self._keep(self.first[0], self.first[1].indices, self.first[1])
+        k, members = len(wanted), wanted.tolist()
+        cols = [self.cols[m] for m in members]
+        lens = np.fromiter(map(len, cols), np.intp, k)
+        cols = np.concatenate([np.empty(0, np.intp), *cols])
+        vals = np.concatenate([np.empty(0), *(self.vals[m] for m in members)])
+        row = np.repeat(np.arange(k), lens)
+        batch = self.batch[wanted]
+        self.slot[wanted] = np.arange(k)
+        col = self.slot[cols]
+        if self.first is not None:
+            first = batch[row] == 0
+            col[first] = self.slot[self.first[0][cols[first]]]
+        self.slot[wanted] = -1
+        keep = col >= 0
+        row, col, vals = row[keep], col[keep], vals[keep]
+        flip = batch[col] < batch[row]
+        row, col = np.concatenate((row, col[flip])), np.concatenate((col, row[flip]))
+        # Timsort: the entries read off the rows are one sorted run already.
+        order = np.argsort(row * k + col, kind="stable")
+        indptr = np.concatenate(([0], np.cumsum(np.bincount(row, minlength=k))))
+        vals = np.concatenate((vals, vals[flip]))[order]
+        return sp.csr_matrix((vals, col[order], indptr), shape=(k, k))
 
 
 def top_n(net: TripartiteNetwork, family: str, n: int) -> list[int]:

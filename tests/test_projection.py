@@ -491,6 +491,10 @@ SHARED_TAGS = [("u0", "i0", ["t0", "t1"]), ("u1", "i0", ["t1", "t2"]),
 @example(rows=SHARED_TAGS, calls=[("tags-via-items", [1, 3], False),
                                   ("tags-via-items", [0, 1, 2, 3], False),
                                   ("tags-via-items", [1, 3], False)])
+@example(rows=SHARED_TAGS, calls=[("tags-via-items", [2, 3], True),
+                                  ("tags-via-items", [0, 3], True),
+                                  ("tags-via-items", [1, 2], True),
+                                  ("tags-via-items", [0, 1, 2], True)])
 def test_cached_grid_gives_what_a_fresh_network_gives(rows, calls):
     def network():
         return build_network([TaggingEvent(u, i, tuple(t)) for u, i, t in rows])
@@ -511,3 +515,21 @@ def test_whole_cached_grid_is_returned_uncopied_and_read_only():
     for array in (full.values.data, full.values.indices, full.values.indptr):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 0
+
+
+def test_a_request_computes_only_its_uncached_rows(monkeypatch):
+    grown = []
+    grow = tagnet.projection._CosineRows._grow
+    monkeypatch.setattr(tagnet.projection._CosineRows, "_grow",
+                        lambda self, new: grown.append(new.tolist()) or grow(self, new))
+    net = net_of(ev("a", "x", "T", "U"), ev("b", "x", "T"), ev("b", "y", "V", "W"))
+    for members in ([0, 1], [1, 2], [0, 2], [0, 1, 2, 3], [3, 1]):
+        correlation_matrix(net, "tags", members=members)
+    assert grown == [[0, 1], [2], [3]]
+
+
+def test_an_empty_request_gives_an_empty_matrix_before_and_after_others():
+    net = net_of(ev("a", "x", "T", "U"), ev("b", "x", "T"))
+    for members in ([], [0, 1], [], [1], []):
+        C = correlation_matrix(net, "tags", members=members)
+        assert C.values.shape == (len(members),) * 2 and C.members == members
