@@ -6,10 +6,11 @@ each island to the island containing it one step earlier yields a branching
 forest hung under a virtual root.
 
 The islands at phi are the components of the graph {C > phi}, so every level
-comes out of one single-linkage pass (Gower & Ross 1969): join the ends of
-the links in descending order of correlation, and read the groups off each
-time the correlation falls to the next grid value. Islands only refine as
-phi grows, which is why the pass can run from the top level down.
+comes out of one single-linkage pass (Gower & Ross 1969): bucket the links by
+the last level they survive, join each bucket's ends from the top level down,
+and read the groups off after each bucket. Islands only refine as phi grows,
+so the pass can run from the top down, and rows none of whose entries leave
+their islands at a level keep the island sums of the level above.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .projection import CorrelationMatrix
 #: Grids may have at most this many levels below phi = 1.
 MAX_LEVELS = 1000
 
-#: Matrix rows read per block; bounds the CSR copy made of a dense matrix.
+#: Matrix rows read per block; bounds the per-level gathers of the island sums.
 BLOCK_ROWS = 128
 
 
@@ -194,9 +195,11 @@ def build_tree(C: CorrelationMatrix, grid: FilterGrid | None = None) -> IslandTr
     to draw it.
 
     The islands come from one single-linkage pass: the links above
-    grid.start, taken in descending order of correlation, join their ends
-    in a union-find forest, and the groups are recorded each time the
-    correlation falls to the next level's phi. Every island's
+    grid.start are bucketed by the number of levels whose phi they exceed,
+    and from the top level down each bucket joins its links' ends in a
+    union-find forest before the groups are recorded. A row block none of
+    whose entries leaves its island at a level copies the level above's
+    sums, which would add the same entries in the same order. Every island's
     characteristic element follows characteristic_element's rule: the
     member whose summed correlation to the island, added up in ascending id
     order from 0.0 with the diagonal included, is the largest, ties to the
@@ -210,7 +213,8 @@ def build_tree(C: CorrelationMatrix, grid: FilterGrid | None = None) -> IslandTr
     # Members are in ascending id order, so the smallest index of a group is
     # its smallest member id.
     n = C.size
-    ii, jj, vv = _edges(C.values, grid.start)
+    values = sp.csr_matrix(C.values)
+    ii, jj, vv = _edges(values, grid.start)
 
     levels: list[float] = []
     top = vv.max(initial=grid.start)
@@ -222,30 +226,37 @@ def build_tree(C: CorrelationMatrix, grid: FilterGrid | None = None) -> IslandTr
         if phi >= top:
             break  # no link survives: every island is a singleton
 
+    # A link of bucket b survives levels 0..b-1; links[cuts[t]:cuts[t + 1]]
+    # are those of bucket t + 1. _join's groups do not depend on their order.
+    bucket = np.searchsorted(levels, vv).astype(np.min_scalar_type(MAX_LEVELS))
+    del vv
+    cuts = np.cumsum(np.bincount(bucket, minlength=len(levels) + 1))
+    order = np.argsort(bucket, kind="stable")
+    ii, jj = ii[order], jj[order]
+    del bucket, order
+
     # labels[t, r]: t * n + smallest rank of r's island at level t - 1; row 0: root.
-    by_value = np.argsort(vv, kind="stable")
-    vv = vv[by_value]
-    ii = ii[by_value]
-    jj = jj[by_value]
-    cuts = np.searchsorted(vv, levels, side="right")
     labels = np.zeros((len(levels) + 1, n), dtype=np.intp)
     root = np.arange(n)
-    end = len(vv)
     for t in range(len(levels) - 1, -1, -1):
-        a, b = root[ii[cuts[t]:end]], root[jj[cuts[t]:end]]
+        a, b = root[ii[cuts[t]:cuts[t + 1]]], root[jj[cuts[t]:cuts[t + 1]]]
         apart = a != b
         _join(root, a[apart], b[apart])
         labels[t + 1] = root + (t + 1) * n
-        end = cuts[t]
-    del ii, jj, vv, by_value
+    del ii, jj
 
     # sums[t] sums each row over its island in labels[t]. Islands only refine, so
-    # the entries kept for one level are filtered again for the next.
+    # the entries kept for one level are filtered again for the next; a block
+    # none of whose entries leaves its island keeps the level above's sums.
     sums = np.empty(labels.shape)
-    for lo, hi, rows, cols, data in _blocks(C.values):
+    for lo, hi, rows, cols, data in _blocks(values):
         for t, label in enumerate(labels):
             inside = label[rows + lo] == label[cols]
-            rows, cols, data = rows[inside], cols[inside], data[inside]
+            if not inside.all():
+                rows, cols, data = rows[inside], cols[inside], data[inside]
+            elif t:
+                sums[t, lo:hi] = sums[t - 1, lo:hi]
+                continue
             sums[t, lo:hi] = np.bincount(rows, weights=data, minlength=hi - lo)
 
     # Islands in (level, smallest member id) order, each best member first.
@@ -262,17 +273,20 @@ def build_tree(C: CorrelationMatrix, grid: FilterGrid | None = None) -> IslandTr
 
 
 def _blocks(values):
-    """Nonzero entries of a dense or CSR matrix, BLOCK_ROWS rows at a time.
+    """Nonzero entries of a dense or sparse matrix, BLOCK_ROWS rows at a time.
 
-    Yields (lo, hi, rows, cols, data) for the rows lo..hi-1: rows are offsets
-    from lo, and each row's entries come in ascending column order. A sparse
-    matrix gets its indices sorted in place first, which leaves it equal.
+    Yields (lo, hi, rows, cols, data) for the rows lo..hi-1: cols and data are
+    slices of one CSR's arrays, rows their offsets from lo in the index dtype,
+    each row's entries in ascending column order. Other formats are converted
+    to CSR once; a CSR's indices are sorted in place, which leaves it equal.
     """
-    if sp.issparse(values):
-        values.sort_indices()
-    for lo in range(0, values.shape[0], BLOCK_ROWS):
-        coo = sp.csr_array(values[lo:lo + BLOCK_ROWS]).tocoo()
-        yield lo, lo + coo.shape[0], coo.row, coo.col, coo.data
+    csr = sp.csr_matrix(values)
+    csr.sort_indices()
+    indptr, indices, data = csr.indptr, csr.indices, csr.data
+    for lo in range(0, csr.shape[0], BLOCK_ROWS):
+        hi = min(lo + BLOCK_ROWS, csr.shape[0])
+        rows = np.repeat(np.arange(hi - lo, dtype=indices.dtype), np.diff(indptr[lo:hi + 1]))
+        yield lo, hi, rows, indices[indptr[lo]:indptr[hi]], data[indptr[lo]:indptr[hi]]
 
 
 def _edges(values, floor: float):

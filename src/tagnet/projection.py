@@ -293,9 +293,9 @@ class _CosineRows:
         # With every row in ascending column order, csr_matmat adds each
         # G[i, j] over the shared columns in that order, whatever other rows
         # are present: a block of any grid holding i and j has the bits of
-        # their own grid, and G[i, j] and G[j, i] are equal.
-        grid = ((rows[at] if len(at) < len(ids) else rows) @ rows.T).tocsr()
-        grid.sort_indices()
+        # their own grid, and G[i, j] and G[j, i] are equal. So the product is
+        # taken cached x new: its CSC, counting-sorted, is the new rows' CSR.
+        grid = (rows @ (rows[at] if len(at) < len(ids) else rows).T).tocsc().T
         self.gram[new] = np.asarray(grid[np.arange(len(new)), at]).ravel()
         # The diagonal comes out exactly 1: sqrt(x * x) is x in binary
         # floating point, barring overflow and underflow. Zero rows store

@@ -12,10 +12,21 @@ Island records.
 import dataclasses
 import hashlib
 
+import numpy as np
 import pytest
 
 import tagnet.cli
-from tagnet import IslandTree, PlantedConfig, build_tree, generate, write_triples
+from tagnet import (
+    FilterGrid,
+    IslandTree,
+    PlantedConfig,
+    build_network,
+    build_tree,
+    correlation_matrix,
+    generate,
+    read_triples,
+    write_triples,
+)
 from tagnet.cli import EXIT_OK, main
 
 CONFIG = PlantedConfig(6, 12, 40, 25, seed=3)
@@ -30,6 +41,26 @@ DIGESTS = {
     "user.dot": "c8f28e6f06e85fb14d1af930e8d340d93412ae9b92d2a8935f5fa81f9674578f",
 }
 USER_STDOUT = "user: u2_7\nentropy: 2.729459\ndiversity: 1503.297009\n"
+
+# No file pins the order of an island's members after the first (JSON sorts
+# them by name, DOT shows the characteristic element only), so the sweep's
+# arrays are pinned too, as int64 bytes, on a fine grid (100 levels over
+# users, 92 over tags).
+FINE_GRID = FilterGrid(0.0, 0.01)
+ARRAY_DIGESTS = {
+    "users": {
+        "level": "f3b70973424ded2702a7929cc81f900b045b2b1f0256beabc831a561d2ecb6c1",
+        "parent": "a2b6ed0656c3b6edecb08fbdcadfe58c44125cbfb79d96b6b69e89ee46edf003",
+        "members": "93caa9a94ef64184a2794b22ef69b9e7825ba52d377d0b6dc7c85d12a78ea93a",
+        "start": "0912b53a9060d503141029ff6a3099ec8d0a6d152a4dd57b59f55178b8a0b103",
+    },
+    "tags": {
+        "level": "0e5ce7f8851760afd5bcfcd7a44e3f9ad21c1133b4285334497135ab10387c78",
+        "parent": "25060f810237f31711ea002de670922930512138ec64ee94fd7678954d49d043",
+        "members": "3fed00664b2c6ee7ad7b16ce572e702473b7c4669520579b8218fc44a96f1659",
+        "start": "eec7fff38cbf308343c381a5a934f4502073a02a487c428fd38579a661b619f8",
+    },
+}
 
 
 @pytest.fixture(scope="module")
@@ -96,3 +127,14 @@ def test_diversity_is_pinned(corpus, tmp_path, capsys):
               "--out-dot", str(tmp_path / "user.dot"))
     assert out == USER_STDOUT
     assert_pinned(tmp_path, "user.json", "user.dot")
+
+
+@pytest.mark.parametrize("family", sorted(ARRAY_DIGESTS))
+def test_sweep_arrays_are_pinned(corpus, family):
+    net = build_network(read_triples(corpus))
+    tree = build_tree(correlation_matrix(net, family), FINE_GRID)
+    digests = {
+        name: hashlib.sha256(np.asarray(getattr(tree, name), np.int64).tobytes()).hexdigest()
+        for name in ARRAY_DIGESTS[family]
+    }
+    assert digests == ARRAY_DIGESTS[family]

@@ -8,6 +8,7 @@ import scipy.sparse as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import tagnet.percolation
 from tagnet import (
     CorrelationMatrix,
     FilterGrid,
@@ -360,12 +361,33 @@ grids = st.builds(
 )
 
 
+# Levels 0 to 0.45 share one partition, so rows keep the sums of the level
+# above until phi = 0.5 splits it into {0}, {1, 2} and {3, 4}. Row 2 must then
+# drop its two 0.5 entries, or it would beat row 1 in {1, 2}.
+SAME_PARTITION_ACROSS_LEVELS = np.array([
+    [1.0, 0.5, 0.0, 0.0, 0.0],
+    [0.5, 1.0, 1.0, 0.0, 0.0],
+    [0.0, 1.0, 1.0, 0.5, 0.5],
+    [0.0, 0.0, 0.5, 1.0, 1.0],
+    [0.0, 0.0, 0.5, 1.0, 1.0],
+])
+
+
+def sweep_in_two_row_blocks(C, grid):
+    """build_tree with two matrix rows per block, so the sums loop runs over
+    several blocks; Hypothesis rejects function-scoped fixtures."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(tagnet.percolation, "BLOCK_ROWS", 2)
+        return build_tree(C, grid)
+
+
 @given(C=stored_matrices(), grid=grids)
 @example(C=CorrelationMatrix("tag", "direct", [0, 1, 2, 3], ["a", "b", "c", "d"],
                             descending_csr(DESCENDING_SUMS_DIFFER)), grid=FilterGrid())
+@example(C=CorrelationMatrix.from_dense(SAME_PARTITION_ACROSS_LEVELS), grid=FilterGrid())
 def test_sweep_matches_bruteforce_oracle_with_ties(C, grid):
     levels, structure = oracle_tree(C, grid)
-    tree = build_tree(C, grid)
+    tree = sweep_in_two_row_blocks(C, grid)
     assert tree.levels == levels
     assert tree_structure(tree) == structure
     assert tree.root.members == frozenset(C.members)
@@ -379,7 +401,7 @@ def test_sweep_matches_bruteforce_oracle_with_ties(C, grid):
 
 @given(C=stored_matrices(), grid=grids)
 def test_layout_matches_island_records(C, grid):
-    tree = build_tree(C, grid)
+    tree = sweep_in_two_row_blocks(C, grid)
     island, sizes, characteristic = tree.layout
     assert sizes.tolist() == [isl.size for isl in tree.islands]
     assert characteristic.tolist() == [isl.characteristic for isl in tree.islands]

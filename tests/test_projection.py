@@ -13,6 +13,7 @@ from tagnet import (
     CorrelationMatrix,
     EntityRegistry,
     FilterGrid,
+    PlantedConfig,
     SignatureVector,
     SineMatrix,
     TaggingEvent,
@@ -21,6 +22,7 @@ from tagnet import (
     build_tree,
     correlation_matrix,
     cosine,
+    generate,
     item_tag_signature,
     item_user_signature,
     tag_item_signature,
@@ -533,3 +535,21 @@ def test_an_empty_request_gives_an_empty_matrix_before_and_after_others():
     for members in ([], [0, 1], [], [1], []):
         C = correlation_matrix(net, "tags", members=members)
         assert C.values.shape == (len(members),) * 2 and C.members == members
+
+
+def _ascending_in_every_row(csr):
+    return all(np.all(np.diff(csr.indices[lo:hi]) > 0)
+               for lo, hi in zip(csr.indptr, csr.indptr[1:]))
+
+
+@pytest.mark.parametrize("family", ["users", "items", "tags"])
+def test_grids_come_back_with_ascending_indices_in_every_row(family):
+    # _gather and the sweep read each row's entries in ascending column order.
+    net = build_network(generate(PlantedConfig(4, 6, 12, 8, seed=2))[0])
+    n = len({"users": net.users, "items": net.items, "tags": net.tags}[family])
+    first = correlation_matrix(net, family, members=range(0, n, 2))
+    later = correlation_matrix(net, family, members=range(n // 2))  # odd ones new
+    assert _ascending_in_every_row(first.values)
+    assert _ascending_in_every_row(later.values)
+    rows = net._grids[tagnet.projection.DEFAULT_VIEW[family[:-1]], False]
+    assert all(np.all(np.diff(rows.cols[m]) > 0) for m in range(1, n // 2, 2))
