@@ -19,7 +19,7 @@ from .diversity import (
     sine_matrix,
     tag_spectrum,
 )
-from .io import read_triples, write_tree_dot, write_tree_json, write_triples
+from .io import _create, read_triples, write_tree_dot, write_tree_json, write_triples
 from .model import ITEM, TAG, USER, DataError, build_network, degree_stats
 from .percolation import FilterGrid, build_tree
 from .projection import (
@@ -229,7 +229,7 @@ def cmd_synth(args) -> int:
     events, truth = generate(config)
     write_triples(events, args.out, fmt=args.format)
     if args.truth_out:
-        with open(args.truth_out, "w", encoding="utf-8", newline="") as fh:
+        with _create(args.truth_out) as fh:
             for tag in sorted(truth):
                 fh.write(f"{tag}\t{truth[tag]}\n")
     print(f"wrote {len(events)} events to {args.out}")

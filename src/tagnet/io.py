@@ -6,6 +6,8 @@ import csv
 import json
 import logging
 import math
+import os
+import stat
 from itertools import compress, islice
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -122,10 +124,27 @@ def _delimiter(fmt: str) -> str:
         raise ValueError(f"unknown triples format: {fmt!r}") from None
 
 
+def _create(path):
+    """Open path to write UTF-8 text, newlines untranslated, as a new file.
+
+    An existing regular file is unlinked first: on ext4, truncating (or
+    renaming over) a file written moments ago waits until its old data
+    reaches the disk, and unlinking does not. So hard links to the old file
+    keep its bytes, and the new file gets the umask's mode. Symlinks,
+    devices, FIFOs and files that cannot be unlinked are written in place.
+    """
+    try:
+        if stat.S_ISREG(os.lstat(path).st_mode):
+            os.unlink(path)
+    except OSError:
+        pass  # absent or not removable: open() truncates it or reports the error
+    return open(path, "w", encoding="utf-8", newline="")
+
+
 def write_triples(events: Iterable[TaggingEvent], path, fmt: str = "tsv") -> None:
     """Write one user/item/tag line per attribution, in event order."""
     delimiter = _delimiter(fmt)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with _create(path) as fh:
         writer = csv.writer(fh, delimiter=delimiter, lineterminator="\n")
         for event in events:
             for tag in event.tags:
@@ -134,7 +153,7 @@ def write_triples(events: Iterable[TaggingEvent], path, fmt: str = "tsv") -> Non
 
 def write_matrix(C: CorrelationMatrix, path) -> None:
     """CSV with a member-name header row and column; 6 decimal places."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with _create(path) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow([""] + list(C.names))
         for name, row in zip(C.names, C.dense()):
@@ -208,7 +227,7 @@ def write_tree_json(tree: IslandTree, path, report: ActivityReport | None = None
     keys = sorted(columns)
     record = "{\n" + ",\n".join(f'      "{key}": %s' for key in keys) + "\n    }"
     islands = (record % row for row in zip(*(columns[key] for key in keys)))
-    with open(path, "w", encoding="utf-8", newline="") as fh:  # never held whole
+    with _create(path) as fh:  # never held whole
         fh.write(f'{{\n  "family": {encode_basestring_ascii(tree.family)},\n')
         fh.write(f'  "islands": [\n    {next(islands)}')  # the root
         fh.writelines(",\n    " + text for text in islands)
@@ -258,7 +277,8 @@ def write_tree_dot(
         lines.append(f"  n{k} [{', '.join(attrs)}];")
     lines += edges
     lines.append("}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with _create(path) as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def _check_report(tree: IslandTree, report: ActivityReport | None) -> None:

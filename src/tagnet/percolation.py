@@ -245,19 +245,28 @@ def build_tree(C: CorrelationMatrix, grid: FilterGrid | None = None) -> IslandTr
         labels[t + 1] = root + (t + 1) * n
     del ii, jj
 
+    # split[t - 1, b]: a row of block b is in an island of labels[t - 1] that
+    # splits in labels[t]. A block with none keeps its entries inside their islands.
+    above, below = labels[:-1], labels[1:] - n
+    splits = np.zeros(labels.size, dtype=bool)
+    splits[above[above != below]] = True
+    split = np.logical_or.reduceat(splits[above], np.arange(0, n, BLOCK_ROWS), axis=1)
+    del above, below, splits
+
     # sums[t] sums each row over its island in labels[t]. Islands only refine, so
     # the entries kept for one level are filtered again for the next; a block
     # none of whose entries leaves its island keeps the level above's sums.
     sums = np.empty(labels.shape)
     for lo, hi, rows, cols, data in _blocks(values):
-        for t, label in enumerate(labels):
-            inside = label[rows + lo] == label[cols]
-            if not inside.all():
-                rows, cols, data = rows[inside], cols[inside], data[inside]
-            elif t:
-                sums[t, lo:hi] = sums[t - 1, lo:hi]
-                continue
-            sums[t, lo:hi] = np.bincount(rows, weights=data, minlength=hi - lo)
+        sums[0, lo:hi] = np.bincount(rows, weights=data, minlength=hi - lo)  # the root
+        for t in range(1, len(labels)):
+            if split[t - 1, lo // BLOCK_ROWS]:
+                inside = labels[t, rows + lo] == labels[t, cols]
+                if not inside.all():
+                    rows, cols, data = rows[inside], cols[inside], data[inside]
+                    sums[t, lo:hi] = np.bincount(rows, weights=data, minlength=hi - lo)
+                    continue
+            sums[t, lo:hi] = sums[t - 1, lo:hi]
 
     # Islands in (level, smallest member id) order, each best member first.
     key = labels.ravel()

@@ -1,3 +1,5 @@
+import os
+import stat
 from pathlib import Path
 
 import pytest
@@ -94,6 +96,15 @@ def test_directory_output_fails_before_ingest(tmp_path, triples, capsys, monkeyp
     assert main(argv) == EXIT_DATA
     assert f"cannot write {outputs[bad]}: it is a directory" in capsys.readouterr().err
     assert sorted(p.name for p in tmp_path.rglob("*")) == ["adir", "triples.tsv"]
+
+
+def test_tree_writes_through_a_device_output(tmp_path, triples):
+    if not stat.S_ISCHR(os.lstat(os.devnull).st_mode):
+        pytest.skip(f"{os.devnull} is not a character device here")
+    argv = ["tree", "--input", str(triples), "--out-json", str(tmp_path / "t.json"),
+            "--out-dot", os.devnull]
+    assert main(argv) == EXIT_OK
+    assert stat.S_ISCHR(os.lstat(os.devnull).st_mode)
 
 
 # -- golden end-to-end runs ---------------------------------------------------

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -284,6 +285,60 @@ def test_dot_escapes_label_quotes(tmp_path):
     path = tmp_path / "t.dot"
     write_tree_dot(build_tree(c), path)
     assert 'label="say \\"hi\\""' in path.read_text()
+
+
+# -- replacing output files ---------------------------------------------------
+# Each writer creates its output as a new file, so a stale copy is never
+# truncated in place; paths that are not regular files are written through.
+
+WRITERS = [
+    pytest.param(lambda path: write_tree_json(_two_block_tree(), path), id="tree-json"),
+    pytest.param(lambda path: write_tree_dot(_two_block_tree(), path), id="tree-dot"),
+    pytest.param(lambda path: write_matrix(
+        CorrelationMatrix.from_dense(np.eye(2), family="tag"), path), id="matrix"),
+    pytest.param(lambda path: write_triples([ev("u", "i", "a", "b")], path), id="triples"),
+]
+STALE = "stale line, longer than every output\n" * 100
+
+
+def fresh_bytes(tmp_path, write):
+    write(tmp_path / "fresh.out")
+    return (tmp_path / "fresh.out").read_bytes()
+
+
+@pytest.mark.parametrize("write", WRITERS)
+def test_rewrite_replaces_the_file_a_hard_link_keeps(tmp_path, write):
+    path, link = tmp_path / "t.out", tmp_path / "link.out"
+    path.write_text(STALE)
+    os.link(path, link)
+    write(path)
+    assert link.read_text() == STALE
+    assert path.read_bytes() == fresh_bytes(tmp_path, write)
+
+
+@pytest.mark.parametrize("write", WRITERS)
+def test_symlinked_output_stays_a_symlink(tmp_path, write):
+    path, target = tmp_path / "t.out", tmp_path / "target.out"
+    target.write_text(STALE)
+    path.symlink_to(target)
+    write(path)
+    assert path.is_symlink() and path.resolve() == target
+    assert target.read_bytes() == fresh_bytes(tmp_path, write)
+
+
+@pytest.mark.parametrize("write", WRITERS)
+def test_output_that_cannot_be_unlinked_is_written_in_place(tmp_path, monkeypatch, write):
+    expected = fresh_bytes(tmp_path, write)
+    path, link = tmp_path / "t.out", tmp_path / "link.out"
+    path.write_text(STALE)
+    os.link(path, link)
+
+    def refuse(target, *args, **kwargs):
+        raise PermissionError(13, "Permission denied", str(target))
+
+    monkeypatch.setattr(os, "unlink", refuse)
+    write(path)
+    assert path.read_bytes() == link.read_bytes() == expected
 
 
 # -- read_matrix input checks and write_matrix storage -------------------------
