@@ -36,9 +36,6 @@ from .percolation import (
     Island,
     IslandTree,
     build_tree,
-    characteristic_element,
-    components,
-    filter_edges,
 )
 from .diversity import (
     ActivityReport,
@@ -89,14 +86,11 @@ __all__ = [
     "activity_color",
     "build_network",
     "build_tree",
-    "characteristic_element",
-    "components",
     "correlation_matrix",
     "cosine",
     "degree_stats",
     "diversity",
     "entropy",
-    "filter_edges",
     "generate",
     "island_activity",
     "item_tag_signature",

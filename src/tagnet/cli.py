@@ -183,8 +183,8 @@ def cmd_diversity(args) -> int:
     user_spec = tag_spectrum(net, uid, weighted=args.weighted_tau)
     sample_spec = tag_spectrum(net, weighted=args.weighted_tau)
 
-    # The tree's matrix first: the network keeps it as its first grid, and
-    # the user's own tags then add only their uncached rows.
+    # The tree's matrix first: it is the network's first grid, one product
+    # over its own members, and the user's own tags then get full rows.
     matrix = correlation_matrix(net, TAG, members=top_n(net, TAG, n))
     own_tags = sorted(user_spec.counts)
     own_sine = sine_matrix(correlation_matrix(net, TAG, members=own_tags))

@@ -174,9 +174,10 @@ class TripartiteNetwork:
     is built on first use. incidence maps a (row kind, column kind) pair to
     B, B^T, W or W^T as scipy CSR matrices with int32 indices, ascending in
     every row; a matrix of B's structure holds pair indices, so a user's
-    pairs are one row slice. projection.correlation_matrix caches cosine
-    rows per view and binary flag in _grids. The object is safe to share
-    across readers: each cache entry serializes its requests with a lock.
+    pairs are one row slice. projection.correlation_matrix caches its first
+    grid and full cosine rows per view and binary flag in _grids. The object
+    is safe to share across readers: each cache entry serializes its
+    requests with a lock.
     """
 
     def __init__(

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable
 
 import numpy as np
 import scipy.sparse as sp
@@ -136,53 +135,6 @@ class IslandTree:
         return [np.bincount(island, x[column]) for x in vectors]
 
 
-def filter_edges(C: CorrelationMatrix, phi: float) -> set[tuple[int, int]]:
-    """Undirected edges (a, b), a < b, wherever C[a][b] > phi strictly."""
-    if not 0.0 <= phi < 1.0:
-        raise ValueError("phi must lie in [0, 1)")
-    ii, jj, _ = _edges(C.values, phi)
-    return {(C.members[i], C.members[j]) for i, j in zip(ii.tolist(), jj.tolist())}
-
-
-def components(
-    edges: Iterable[tuple[int, int]], members: Iterable[int]
-) -> list[frozenset[int]]:
-    """Connected components of the undirected graph, sorted by min member.
-
-    Isolated members come back as singleton components. Edges must reference
-    registered members only.
-    """
-    ids = sorted(set(members))
-    index = {m: k for k, m in enumerate(ids)}
-    pairs = np.array([(index[a], index[b]) for a, b in edges], dtype=np.intp)
-    pairs = pairs.reshape(-1, 2)
-    root = np.arange(len(ids))
-    _join(root, pairs[:, 0], pairs[:, 1])
-    groups: dict[int, list[int]] = {}
-    for k, r in enumerate(root.tolist()):
-        groups.setdefault(r, []).append(ids[k])
-    return [frozenset(g) for g in groups.values()]
-
-
-def characteristic_element(island, C: CorrelationMatrix) -> int:
-    """Member maximizing its summed correlation to the island, ties to the
-    smallest id.
-
-    Each member's sum runs over all island members in ascending id order,
-    starting from 0.0 and including the diagonal term, one addition at a
-    time; the first member in ascending id order whose sum is the largest
-    wins.
-    """
-    members = island.members if isinstance(island, Island) else island
-    index = sorted(map(C.index_of, members))
-    if not index:
-        raise ValueError("island is empty")
-    sums = np.empty(len(index))
-    for lo, hi, rows, _, data in _blocks(C.values[index][:, index]):
-        sums[lo:hi] = np.bincount(rows, weights=data, minlength=hi - lo)
-    return C.members[index[int(np.argmax(sums))]]
-
-
 def build_tree(C: CorrelationMatrix, grid: FilterGrid | None = None) -> IslandTree:
     """Sweep the grid over the matrix and assemble the island forest.
 
@@ -200,10 +152,9 @@ def build_tree(C: CorrelationMatrix, grid: FilterGrid | None = None) -> IslandTr
     union-find forest before the groups are recorded. A row block none of
     whose entries leaves its island at a level copies the level above's
     sums, which would add the same entries in the same order. Every island's
-    characteristic element follows characteristic_element's rule: the
-    member whose summed correlation to the island, added up in ascending id
-    order from 0.0 with the diagonal included, is the largest, ties to the
-    smallest id.
+    characteristic element is the member whose summed correlation to the
+    island, added up in ascending id order from 0.0 one term at a time with
+    the diagonal included, is the largest, ties to the smallest id.
     """
     if C.size == 0:
         raise ValueError("cannot sweep an empty matrix")

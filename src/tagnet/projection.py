@@ -111,7 +111,7 @@ def cosine(u: SignatureVector, v: SignatureVector) -> float:
         raise ValueError(f"axis mismatch: {u.axis} vs {v.axis}")
     if u.is_empty or v.is_empty:
         return 0.0
-    # One rounding per step, as in _cosine_grid, so both give the same bits.
+    # One rounding per step, as in _CosineRows, so both give the same bits.
     value = u.dot(v) / math.sqrt(u.dot(u) * v.dot(v))
     return min(1.0, max(0.0, value))
 
@@ -215,11 +215,12 @@ def correlation_matrix(
     Zero-signature members are flagged, get a 0 diagonal, and correlate 0
     with everything.
 
-    Requests are served from cosine rows cached on the network, one set per
-    view and binary flag (_CosineRows): a request computes only the rows of
-    its members not cached yet, and an equal repeat of the network's first
-    request gets that grid itself. Results are bit-identical whatever the
-    call history, and matrices from one network may share read-only storage.
+    Requests are served from a cache on the network, one per view and
+    binary flag (_CosineRows). The first request gets its own grid, and an
+    equal request gets that grid again, uncopied and read-only. Any other
+    request is cut from full cosine rows over the family, and computes only
+    the rows of its members that have none yet. Results are bit-identical
+    whatever the call history.
     """
     kind = _as_kind(family)
     if view is None:
@@ -247,104 +248,82 @@ def correlation_matrix(
 
 
 class _CosineRows:
-    """Cosine rows of one view's members, computed a batch per request.
+    """Cosine rows of one view's members, each over the whole family.
 
-    A request computes the rows of its uncached members, a batch, against
-    every member cached by then, the batch included. So a pair is stored in
-    the row of its later member, or in both rows within a batch, and a block
-    over cached members is their rows cut to the block and mirrored. The
-    first batch is kept as its grid, which serves an equal request uncopied;
-    its rows index its own members, later rows index the family. Each cosine
-    is G[i, j] / sqrt(G[i, i] * G[j, j]) on the Gram matrix G = A A^T of the
-    raw signatures (the rows of a). For 0/1 signatures G is exact, so each
-    cosine is rounded once and exact values stay exact: two users with 6
-    items sharing 3 correlate exactly 0.5. A lock serializes requests.
+    The first request is answered with its own grid, kept to serve an equal
+    request uncopied. Any other request first computes, in one product, the
+    full row of each of its members that has none yet; its block is then
+    those rows cut to the block. Each cosine is
+    G[i, j] / sqrt(G[i, i] * G[j, j]) on the Gram matrix G = A A^T of the raw
+    signatures (the rows of a). For 0/1 signatures G is exact, so each cosine
+    is rounded once and exact values stay exact: two users with 6 items
+    sharing 3 correlate exactly 0.5. A lock serializes requests.
     """
 
     def __init__(self, a: sp.csr_matrix, binary: bool) -> None:
         n = a.shape[0]
-        self.a, self.binary, self.batches = a, binary, 0
-        self.batch = np.full(n, -1)      # batch number per member, -1 uncached
-        self.gram = np.zeros(n)          # G[m, m] per cached member
+        if binary:
+            a = sp.csr_matrix((np.ones_like(a.data), a.indices, a.indptr), a.shape)
+        self.a = a
+        # G[m, m] added from 0.0 in ascending column order (a's rows are
+        # ascending), as csr_matmat adds every G[i, j]: the product's bits.
+        row = np.repeat(np.arange(n), np.diff(a.indptr))
+        self.gram = np.bincount(row, a.data * a.data, n)
         self.slot = np.full(n, -1)       # scratch: block position per member
-        self.cols: list = [None] * n     # per member: its row's columns
+        self.cols: list = [None] * n     # per member: its full row's columns
         self.vals: list = [None] * n     # and cosines
         self.first: tuple[np.ndarray, sp.csr_matrix] | None = None
         self.lock = threading.Lock()
 
     def block(self, wanted: np.ndarray) -> sp.csr_matrix:
         with self.lock:
-            new = wanted[self.batch[wanted] < 0]
-            if new.size:
-                self._grow(new)
-            if self.first is not None and np.array_equal(self.first[0], wanted):
+            if self.first is None:
+                grid = self._cosines(wanted, family=False)
+                for array in (grid.data, grid.indices, grid.indptr):
+                    array.flags.writeable = False
+                self.first = wanted, grid
+            if np.array_equal(self.first[0], wanted):
                 return self.first[1]
-            return self._gather(wanted)
+            members, k = wanted.tolist(), len(wanted)
+            new = np.array([m for m in members if self.cols[m] is None], np.intp)
+            if new.size:
+                grid = self._cosines(new, family=True)
+                cut = grid.indptr[1:-1]
+                split = zip(np.split(grid.indices, cut), np.split(grid.data, cut))
+                for m, (c, v) in zip(new.tolist(), split):
+                    self.cols[m], self.vals[m] = c, v
+            cols = [self.cols[m] for m in members]
+            lens = np.fromiter(map(len, cols), np.intp, k)
+            cols = np.concatenate([np.empty(0, np.intp), *cols])
+            vals = np.concatenate([np.empty(0), *(self.vals[m] for m in members)])
+            self.slot[wanted] = np.arange(k)
+            col = self.slot[cols]
+            self.slot[wanted] = -1
+            keep = col >= 0
+            kept = np.concatenate(([0], np.cumsum(keep)))
+            indptr = kept[np.concatenate(([0], np.cumsum(lens)))]
+            return sp.csr_matrix((vals[keep], col[keep], indptr), shape=(k, k))
 
-    def _grow(self, new: np.ndarray) -> None:
-        cached = self.batch >= 0
-        cached[new] = True
-        ids = np.flatnonzero(cached)
-        rows = self.a[ids]
-        if self.binary:
-            rows.data[:] = 1.0
-        rows.sort_indices()
-        at = np.searchsorted(ids, new)
+    def _cosines(self, new: np.ndarray, family: bool) -> sp.csr_matrix:
+        """Cosines of the members new against the whole family, or against
+        themselves, as CSR with ascending columns."""
+        rows = self.a[new]
+        left, gram = (self.a, self.gram) if family else (rows, self.gram[new])
         # With every row in ascending column order, csr_matmat adds each
         # G[i, j] over the shared columns in that order, whatever other rows
-        # are present: a block of any grid holding i and j has the bits of
-        # their own grid, and G[i, j] and G[j, i] are equal. So the product is
-        # taken cached x new: its CSC, counting-sorted, is the new rows' CSR.
-        grid = (rows @ (rows[at] if len(at) < len(ids) else rows).T).tocsc().T
-        self.gram[new] = np.asarray(grid[np.arange(len(new)), at]).ravel()
+        # are present, and G[i, j] and G[j, i] are equal. The product's CSC,
+        # counting-sorted, is the new rows' CSR.
+        grid = (left @ rows.T).tocsc().T
         # The diagonal comes out exactly 1: sqrt(x * x) is x in binary
         # floating point, barring overflow and underflow. Zero rows store
         # nothing.
         scale = np.repeat(self.gram[new], np.diff(grid.indptr))
-        scale *= self.gram[ids][grid.indices]
+        scale *= gram[grid.indices]
         np.sqrt(scale, out=scale)
         grid.data /= scale
         del scale
         np.clip(grid.data, 0.0, 1.0, out=grid.data)
-        for array in (grid.data, grid.indices, grid.indptr):
-            array.flags.writeable = False
-        if self.first is None:
-            self.first = ids, grid
-        else:
-            self._keep(new, ids[grid.indices], grid)
-        self.batch[new] = self.batches
-        self.batches += 1
-
-    def _keep(self, members: np.ndarray, cols: np.ndarray, grid: sp.csr_matrix) -> None:
-        cut = grid.indptr[1:-1]
-        for m, c, v in zip(members.tolist(), np.split(cols, cut), np.split(grid.data, cut)):
-            self.cols[m], self.vals[m] = c, v
-
-    def _gather(self, wanted: np.ndarray) -> sp.csr_matrix:
-        if self.first is not None and self.cols[self.first[0][0]] is None:
-            self._keep(self.first[0], self.first[1].indices, self.first[1])
-        k, members = len(wanted), wanted.tolist()
-        cols = [self.cols[m] for m in members]
-        lens = np.fromiter(map(len, cols), np.intp, k)
-        cols = np.concatenate([np.empty(0, np.intp), *cols])
-        vals = np.concatenate([np.empty(0), *(self.vals[m] for m in members)])
-        row = np.repeat(np.arange(k), lens)
-        batch = self.batch[wanted]
-        self.slot[wanted] = np.arange(k)
-        col = self.slot[cols]
-        if self.first is not None:
-            first = batch[row] == 0
-            col[first] = self.slot[self.first[0][cols[first]]]
-        self.slot[wanted] = -1
-        keep = col >= 0
-        row, col, vals = row[keep], col[keep], vals[keep]
-        flip = batch[col] < batch[row]
-        row, col = np.concatenate((row, col[flip])), np.concatenate((col, row[flip]))
-        # Timsort: the entries read off the rows are one sorted run already.
-        order = np.argsort(row * k + col, kind="stable")
-        indptr = np.concatenate(([0], np.cumsum(np.bincount(row, minlength=k))))
-        vals = np.concatenate((vals, vals[flip]))[order]
-        return sp.csr_matrix((vals, col[order], indptr), shape=(k, k))
+        return grid
 
 
 def top_n(net: TripartiteNetwork, family: str, n: int) -> list[int]:

@@ -13,10 +13,7 @@ from tagnet import (
     CorrelationMatrix,
     FilterGrid,
     build_tree,
-    characteristic_element,
-    components,
     correlation_matrix,
-    filter_edges,
     write_tree_json,
 )
 
@@ -112,48 +109,49 @@ def tree_structure(tree):
     return structure
 
 
-# -- filter_edges -------------------------------------------------------------
+def partition_at(C, phi):
+    """The islands build_tree finds at phi, as member sets ordered by min."""
+    tree = build_tree(C, FilterGrid(phi, 0.5))
+    return sorted((isl.members for isl in tree.islands_at(0)), key=min)
+
+
+# -- the phi filter -----------------------------------------------------------
 
 def test_filter_is_strictly_greater_than():
     C = CorrelationMatrix.from_dense([[1.0, 0.3], [0.3, 1.0]])
-    assert filter_edges(C, 0.3) == set()
-    assert filter_edges(C, 0.29) == {(0, 1)}
+    assert partition_at(C, 0.3) == [frozenset({0}), frozenset({1})]
+    assert partition_at(C, 0.29) == [frozenset({0, 1})]
 
 
 def test_filter_at_zero_keeps_all_positive_entries():
-    C = CorrelationMatrix.from_dense([[1, 0.2, 0.1], [0.2, 1, 0.4], [0.1, 0.4, 1]])
-    assert filter_edges(C, 0.0) == {(0, 1), (0, 2), (1, 2)}
+    C = CorrelationMatrix.from_dense([[1, 1e-300, 0], [1e-300, 1, 0], [0, 0, 1]])
+    assert partition_at(C, 0.0) == [frozenset({0, 1}), frozenset({2})]
 
 
 def test_filter_above_max_entry_is_empty():
     C = CorrelationMatrix.from_dense([[1, 0.2], [0.2, 1]])
-    assert filter_edges(C, 0.9) == set()
+    assert partition_at(C, 0.9) == [frozenset({0}), frozenset({1})]
+    assert build_tree(C).levels[-1] == 0.2
 
 
 def test_filter_example_three_by_three():
     C = CorrelationMatrix.from_dense(
         [[1.0, 0.3, 0.1], [0.3, 1.0, 0.2], [0.1, 0.2, 1.0]]
     )
-    assert filter_edges(C, 0.15) == {(0, 1), (1, 2)}
-
-
-def test_filter_rejects_phi_outside_range():
-    C = CorrelationMatrix.from_dense([[1.0]])
-    with pytest.raises(ValueError):
-        filter_edges(C, 1.0)
-    with pytest.raises(ValueError):
-        filter_edges(C, -0.1)
+    assert partition_at(C, 0.15) == [frozenset({0, 1, 2})]
+    assert partition_at(C, 0.25) == [frozenset({0, 1}), frozenset({2})]
 
 
 # -- components ---------------------------------------------------------------
 
 def test_components_no_edges_gives_singletons():
-    parts = components([], [3, 1, 2])
-    assert parts == [frozenset({1}), frozenset({2}), frozenset({3})]
+    C = CorrelationMatrix("tag", "direct", [3, 1, 2], ["c", "a", "b"], np.eye(3))
+    assert partition_at(C, 0.0) == [frozenset({1}), frozenset({2}), frozenset({3})]
 
 
 def test_components_path_is_one_component():
-    assert components([(0, 1), (1, 2)], [0, 1, 2]) == [frozenset({0, 1, 2})]
+    C = CorrelationMatrix.from_dense([[1, 0.5, 0], [0.5, 1, 0.5], [0, 0.5, 1]])
+    assert partition_at(C, 0.0) == [frozenset({0, 1, 2})]
 
 
 def test_components_match_reachability_oracle():
@@ -163,7 +161,10 @@ def test_components_match_reachability_oracle():
         members = list(range(n))
         edges = {(a, b) for a in members for b in members
                  if a < b and rng.random() < 0.25}
-        assert components(edges, members) == sorted(
+        c = np.eye(n)
+        for a, b in edges:
+            c[a, b] = c[b, a] = 0.5
+        assert partition_at(CorrelationMatrix.from_dense(c), 0.0) == sorted(
             oracle_components(members, edges), key=min
         )
 
@@ -172,20 +173,27 @@ def test_components_match_reachability_oracle():
 
 def test_characteristic_of_singleton_is_its_member():
     C = CorrelationMatrix.from_dense([[1.0, 0.5], [0.5, 1.0]])
-    assert characteristic_element({1}, C) == 1
+    tree = build_tree(C, FilterGrid(0.5, 0.25))
+    assert [(isl.members, isl.characteristic) for isl in tree.islands_at(0)] == [
+        ({0}, 0), ({1}, 1)
+    ]
 
 
 def test_characteristic_example():
     C = CorrelationMatrix.from_dense(
         [[1.0, 0.9, 0.8], [0.9, 1.0, 0.1], [0.8, 0.1, 1.0]]
     )
-    assert characteristic_element({0, 1, 2}, C) == 0
+    assert build_tree(C).root.characteristic == 0
 
 
 def test_characteristic_tie_breaks_to_smallest_id():
     C = CorrelationMatrix.from_dense(np.full((4, 4), 0.6) + 0.4 * np.eye(4))
-    assert characteristic_element({0, 1, 2, 3}, C) == 0
-    assert characteristic_element({2, 3}, C) == 2
+    assert build_tree(C).root.characteristic == 0
+    c = np.full((4, 4), 0.1)
+    c[:2, :2] = c[2:, 2:] = 0.6
+    np.fill_diagonal(c, 1.0)
+    tree = build_tree(CorrelationMatrix.from_dense(c), FilterGrid(0.1, 0.5))
+    assert [isl.characteristic for isl in tree.islands_at(0)] == [0, 2]
 
 
 # -- build_tree ---------------------------------------------------------------
@@ -395,8 +403,6 @@ def test_sweep_matches_bruteforce_oracle_with_ties(C, grid):
     order = [(isl.level, min(isl.members)) for isl in tree.islands[1:]]
     assert order == sorted(order)
     assert [isl.id for isl in tree.islands] == list(range(len(tree.islands)))
-    for isl in tree.islands[1:]:
-        assert characteristic_element(isl, C) == isl.characteristic
 
 
 @given(C=stored_matrices(), grid=grids)

@@ -25,6 +25,7 @@ from tagnet import (
     generate,
     item_tag_signature,
     item_user_signature,
+    signature_for_view,
     tag_item_signature,
     top_n,
     user_item_signature,
@@ -520,14 +521,18 @@ def test_whole_cached_grid_is_returned_uncopied_and_read_only():
 
 
 def test_a_request_computes_only_its_uncached_rows(monkeypatch):
-    grown = []
-    grow = tagnet.projection._CosineRows._grow
-    monkeypatch.setattr(tagnet.projection._CosineRows, "_grow",
-                        lambda self, new: grown.append(new.tolist()) or grow(self, new))
+    # (members, against the whole family) per product: the first request's
+    # own grid, then the full row of each member that has none yet.
+    products = []
+    cosines = tagnet.projection._CosineRows._cosines
+    monkeypatch.setattr(
+        tagnet.projection._CosineRows, "_cosines",
+        lambda self, new, family: products.append((new.tolist(), family))
+        or cosines(self, new, family))
     net = net_of(ev("a", "x", "T", "U"), ev("b", "x", "T"), ev("b", "y", "V", "W"))
-    for members in ([0, 1], [1, 2], [0, 2], [0, 1, 2, 3], [3, 1]):
+    for members in ([0, 1], [1, 2], [0, 1], [0, 2], [0, 1, 2, 3], [3, 1]):
         correlation_matrix(net, "tags", members=members)
-    assert grown == [[0, 1], [2], [3]]
+    assert products == [([0, 1], False), ([1, 2], True), ([0], True), ([3], True)]
 
 
 def test_an_empty_request_gives_an_empty_matrix_before_and_after_others():
@@ -553,3 +558,19 @@ def test_grids_come_back_with_ascending_indices_in_every_row(family):
     assert _ascending_in_every_row(later.values)
     rows = net._grids[tagnet.projection.DEFAULT_VIEW[family[:-1]], False]
     assert all(np.all(np.diff(rows.cols[m]) > 0) for m in range(1, n // 2, 2))
+
+
+@pytest.mark.parametrize("binary", [False, True])
+@pytest.mark.parametrize("view", sorted(tagnet.projection.VIEWS))
+def test_every_block_entry_is_the_cosine_of_its_signatures_bit_for_bit(view, binary):
+    net = build_network(generate(PlantedConfig(4, 6, 12, 8, seed=2))[0])
+    family = view.split("-")[0]
+    n = len({"users": net.users, "items": net.items, "tags": net.tags}[family])
+    sigs = [signature_for_view(net, view, m, binary=binary) for m in range(n)]
+    # The first grid, an equal request it serves, full rows new and cached,
+    # and the whole family after partial requests.
+    requests = [range(0, n, 2), range(0, n, 2), range(n // 2), range(1, n, 3), None]
+    for members in requests:
+        C = correlation_matrix(net, family, view=view, members=members, binary=binary)
+        expected = [[cosine(sigs[a], sigs[b]) for b in C.members] for a in C.members]
+        assert np.array_equal(C.dense(), np.array(expected).reshape(C.values.shape))
