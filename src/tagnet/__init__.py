@@ -24,10 +24,7 @@ from .projection import (
     SignatureVector,
     correlation_matrix,
     cosine,
-    item_tag_signature,
-    item_user_signature,
     signature_for_view,
-    tag_item_signature,
     top_n,
     user_item_signature,
 )
@@ -43,7 +40,6 @@ from .diversity import (
     SineMatrix,
     TagSpectrum,
     activity_color,
-    diversity,
     entropy,
     island_activity,
     pairwise_distance,
@@ -51,9 +47,7 @@ from .diversity import (
     tag_spectrum,
 )
 from .io import (
-    read_matrix,
     read_triples,
-    write_matrix,
     write_tree_dot,
     write_tree_json,
     write_triples,
@@ -89,24 +83,18 @@ __all__ = [
     "correlation_matrix",
     "cosine",
     "degree_stats",
-    "diversity",
     "entropy",
     "generate",
     "island_activity",
-    "item_tag_signature",
-    "item_user_signature",
     "load_config",
     "pair_agreement",
     "pairwise_distance",
-    "read_matrix",
     "read_triples",
     "signature_for_view",
     "sine_matrix",
-    "tag_item_signature",
     "tag_spectrum",
     "top_n",
     "user_item_signature",
-    "write_matrix",
     "write_tree_dot",
     "write_tree_json",
     "write_triples",

@@ -2,19 +2,17 @@
 
 A tagging event is one user describing one item with a set of tags. When a
 (user, item) pair carries k distinct tags, each of its k links gets weight
-exactly 1/k, so the link weights of every owned pair sum to 1. Single links
-report that weight as an exact rational. The network also holds two sparse
-incidence matrices: ownership B (users x items, 0/1) and attribution W
-(items x tags, each entry the float sum of the 1/k weights of its links).
-W adds its float weights one at a time, so an entry can differ in the last
-bit from the exact rational sum rounded once.
+exactly 1/k, so the link weights of every owned pair sum to 1. The network
+also holds two sparse incidence matrices: ownership B (users x items, 0/1)
+and attribution W (items x tags, each entry the float sum of the 1/k weights
+of its links). W adds its float weights one at a time, so an entry can differ
+in the last bit from the exact sum rounded once.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property, reduce
 from itertools import chain, groupby
 from operator import add, itemgetter
@@ -224,44 +222,6 @@ class TripartiteNetwork:
     def ownership(self) -> frozenset[tuple[int, int]]:
         return frozenset(zip(self.pair_users.tolist(), self.pair_items.tolist()))
 
-    # -- link views ---------------------------------------------------------
-
-    def links(self) -> list[tuple[int, int, int, Fraction]]:
-        """All (user_id, item_id, tag_id, weight) links, sorted by ids."""
-        return sorted(
-            (uid, iid, tid, Fraction(1, len(tag_ids)))
-            for uid, iid, tag_ids in self.iter_pairs()
-            for tid in tag_ids
-        )
-
-    def pair_tag_ids(self, user_id: int, item_id: int) -> tuple[int, ...]:
-        """Tag ids of an owned (user, item) pair; empty if not owned."""
-        if not 0 <= user_id < len(self.users):
-            return ()
-        at = self._pair_at
-        lo, hi = at.indptr[user_id], at.indptr[user_id + 1]
-        k = lo + np.searchsorted(at.indices[lo:hi], item_id)
-        if k == hi or at.indices[k] != item_id:
-            return ()
-        p = at.data[k]
-        return tuple(self.link_tags[self.pair_ptr[p]:self.pair_ptr[p + 1]].tolist())
-
-    def link_weight(self, user_id: int, item_id: int, tag_id: int) -> Fraction:
-        tag_ids = self.pair_tag_ids(user_id, item_id)
-        if tag_id in tag_ids:
-            return Fraction(1, len(tag_ids))
-        return Fraction(0)
-
-    def user_items(self, user_id: int) -> tuple[int, ...]:
-        """Items the user owns, in ascending id order."""
-        self.users.check(user_id)
-        return _row(self.incidence[USER, ITEM], user_id)
-
-    def item_users(self, item_id: int) -> tuple[int, ...]:
-        """Users owning the item, in ascending id order."""
-        self.items.check(item_id)
-        return _row(self.incidence[ITEM, USER], item_id)
-
     def user_links(self, user_id: int | None = None) -> tuple[np.ndarray, np.ndarray]:
         """Tag ids of a user's links by ascending item id, each pair's tags in
         order, and the tag count k of each link's pair; every link in build
@@ -285,20 +245,12 @@ class TripartiteNetwork:
         starts = np.append(out, k.sum())[self._pair_at.indptr]
         return starts, self.link_tags[links], np.repeat(k, k)
 
-    def tag_link_count(self, tag_id: int) -> int:
-        self.tags.check(tag_id)
-        return int(self.tag_link_counts[tag_id])
-
     def iter_pairs(self):
         """Iterate (user_id, item_id, tag_ids) over owned pairs in build order."""
         tags, ptr = self.link_tags.tolist(), self.pair_ptr.tolist()
         pairs = zip(self.pair_users.tolist(), self.pair_items.tolist())
         for p, (uid, iid) in enumerate(pairs):
             yield uid, iid, tuple(tags[ptr[p]:ptr[p + 1]])
-
-
-def _row(m: sp.csr_matrix, index: int) -> tuple[int, ...]:
-    return tuple(m.indices[m.indptr[index]:m.indptr[index + 1]].tolist())
 
 
 def build_network(
@@ -373,18 +325,17 @@ def _reject(message: str, strict: bool, log: logging.Logger = logger) -> None:
 
 @dataclass(frozen=True)
 class DegreeStats:
-    """Degree summary of a network: counts, ownership means, tag usage."""
+    """Degree summary of a network: counts and ownership means."""
 
     n_users: int
     n_items: int
     n_tags: int
     items_per_user: float
     users_per_item: float
-    tag_usage: dict[int, int]
 
 
 def degree_stats(net: TripartiteNetwork) -> DegreeStats:
-    """Means over ownership pairs plus per-tag link counts.
+    """Entity counts and mean ownership degrees.
 
     An empty network yields an all-zero summary.
     """
@@ -396,7 +347,6 @@ def degree_stats(net: TripartiteNetwork) -> DegreeStats:
         n_tags=n_tags,
         items_per_user=pairs / n_users if n_users else 0.0,
         users_per_item=pairs / n_items if n_items else 0.0,
-        tag_usage={tid: net.tag_link_count(tid) for tid in range(n_tags)},
     )
 
 

@@ -66,33 +66,11 @@ def user_item_signature(net: TripartiteNetwork, user_id: int) -> SignatureVector
     return signature_for_view(net, "users-via-items", user_id)
 
 
-def item_user_signature(net: TripartiteNetwork, item_id: int) -> SignatureVector:
-    """Binary audience profile of an item over the user axis."""
-    return signature_for_view(net, "items-via-users", item_id)
-
-
-def item_tag_signature(
-    net: TripartiteNetwork, item_id: int, binary: bool = False
-) -> SignatureVector:
-    """Tag profile of an item: link weights summed over all users.
-
-    With binary=True every attributed tag counts 1 instead of its weight sum.
-    """
-    return signature_for_view(net, "items-via-tags", item_id, binary=binary)
-
-
-def tag_item_signature(
-    net: TripartiteNetwork, tag_id: int, binary: bool = False
-) -> SignatureVector:
-    """Item profile of a tag: link weights summed over all users (transpose
-    view of item_tag_signature)."""
-    return signature_for_view(net, "tags-via-items", tag_id, binary=binary)
-
-
 def signature_for_view(
     net: TripartiteNetwork, view: str, entity_id: int, binary: bool = False
 ) -> SignatureVector:
-    """Signature of one entity under a named view: its incidence matrix row."""
+    """Signature of one entity under a named view: its incidence matrix row,
+    with every entry counted as 1 when binary."""
     family, axis = _view(view)
     _registry(net, family).check(entity_id)
     rows = net.incidence[family, axis]

@@ -14,6 +14,7 @@ from collections import Counter
 from dataclasses import dataclass, fields
 from typing import Iterable
 
+from .io import _undecodable
 from .model import DataError, TaggingEvent
 
 _MAX_TAG_DRAWS = 20
@@ -86,7 +87,7 @@ def _draw_community(rng: random.Random, config: PlantedConfig, home: int) -> int
 
 
 def pair_agreement(parts_a: Iterable[Iterable], parts_b: Iterable[Iterable]) -> float:
-    """Fraction of element pairs the two partitions classify the same way
+    """Share of element pairs the two partitions classify the same way
     (together in both or apart in both); 1.0 means identical partitions."""
     label_a = {e: k for k, part in enumerate(parts_a) for e in part}
     label_b = {e: k for k, part in enumerate(parts_b) for e in part}
@@ -110,27 +111,32 @@ def load_config(path) -> PlantedConfig:
     types = {"int": int, "float": float}
     parsers = {f.name: types[f.type] for f in fields(PlantedConfig)}
     values: dict[str, int | float] = {}
-    with open(path, encoding="utf-8") as fh:
-        for line_num, line in enumerate(fh, start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            if "=" not in stripped:
-                raise DataError(f"{path}:{line_num}: expected key = value")
-            key, _, value = stripped.partition("=")
-            key = key.strip()
-            value = value.strip()
-            parse = parsers.get(key)
-            if parse is None:
-                raise DataError(f"{path}:{line_num}: unknown key {key!r}")
-            if key in values:
-                raise DataError(f"{path}:{line_num}: duplicate key {key!r}")
-            try:
-                values[key] = parse(value)
-            except ValueError as exc:
-                raise DataError(
-                    f"{path}:{line_num}: bad value for {key}: {value!r}"
-                ) from exc
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        offset = _undecodable(path)
+        raise DataError(f"{path}: undecodable byte at offset {offset}") from exc
+    for line_num, line in enumerate(lines, start=1):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        if "=" not in stripped:
+            raise DataError(f"{path}:{line_num}: expected key = value")
+        key, _, value = stripped.partition("=")
+        key = key.strip()
+        value = value.strip()
+        parse = parsers.get(key)
+        if parse is None:
+            raise DataError(f"{path}:{line_num}: unknown key {key!r}")
+        if key in values:
+            raise DataError(f"{path}:{line_num}: duplicate key {key!r}")
+        try:
+            values[key] = parse(value)
+        except ValueError as exc:
+            raise DataError(
+                f"{path}:{line_num}: bad value for {key}: {value!r}"
+            ) from exc
     try:
         return PlantedConfig(**values)  # type: ignore[arg-type]
     except TypeError as exc:

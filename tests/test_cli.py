@@ -98,6 +98,16 @@ def test_directory_output_fails_before_ingest(tmp_path, triples, capsys, monkeyp
     assert sorted(p.name for p in tmp_path.rglob("*")) == ["adir", "triples.tsv"]
 
 
+@pytest.mark.parametrize("strict", [[], ["--strict"]], ids=["lenient", "strict"])
+def test_field_over_the_csv_limit_is_data_error(tmp_path, capsys, strict):
+    # csv.reader cannot tokenize the line, so no mode can skip it
+    path = tmp_path / "long.tsv"
+    path.write_text(f"ann\tx\t{'a' * 200_000}\nbob\ty\tjazz\n", encoding="utf-8")
+    assert main(["stats", "--input", str(path), *strict]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith(f"tagnet: error: {path}:1: field larger than field limit")
+
+
 def test_tree_writes_through_a_device_output(tmp_path, triples):
     if not stat.S_ISCHR(os.lstat(os.devnull).st_mode):
         pytest.skip(f"{os.devnull} is not a character device here")
@@ -205,4 +215,13 @@ def test_out_of_range_synth_config_is_data_error(tmp_path, capsys):
     argv = ["synth", "--config", str(config), "--out", str(tmp_path / "out.tsv")]
     assert main(argv) == EXIT_DATA
     assert "need at least one community" in capsys.readouterr().err
+    assert not (tmp_path / "out.tsv").exists()
+
+
+def test_undecodable_synth_config_is_data_error(tmp_path, capsys):
+    config = tmp_path / "planted.cfg"
+    config.write_bytes(SYNTH_CONFIG.replace("# two", "# caf\xe9, two").encode("latin-1"))
+    argv = ["synth", "--config", str(config), "--out", str(tmp_path / "out.tsv")]
+    assert main(argv) == EXIT_DATA
+    assert f"{config}: undecodable byte at offset 5" in capsys.readouterr().err
     assert not (tmp_path / "out.tsv").exists()

@@ -1,4 +1,3 @@
-import importlib
 import math
 import random
 
@@ -7,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import tagnet.diversity
 from tagnet import (
     CorrelationMatrix,
     EntityRegistry,
@@ -20,7 +20,6 @@ from tagnet import (
     build_network,
     build_tree,
     correlation_matrix,
-    diversity,
     entropy,
     generate,
     island_activity,
@@ -28,6 +27,8 @@ from tagnet import (
     sine_matrix,
     tag_spectrum,
 )
+
+from tagnet.diversity import diversity
 
 from conftest import ev, net_of
 
@@ -359,16 +360,20 @@ def _weighted_planted_activity():
     return tree, user, sample
 
 
+def test_diversity_name_is_the_module():
+    import tagnet.diversity as D
+
+    assert D.diversity is diversity and D.tag_spectrum is tag_spectrum
+
+
 def test_island_activity_builds_no_records(monkeypatch):
-    # tagnet.diversity is the diversity function; the module is imported by name.
-    module = importlib.import_module("tagnet.diversity")
     tree, user, sample = _weighted_planted_activity()
 
     def refuse(*args):
         raise AssertionError("a record view was built")
 
-    monkeypatch.setattr(module, "IslandActivity", refuse)
-    monkeypatch.setattr(module, "activity_color", refuse)
+    monkeypatch.setattr(tagnet.diversity, "IslandActivity", refuse)
+    monkeypatch.setattr(tagnet.diversity, "activity_color", refuse)
     report = island_activity(tree, user, sample)
     assert len(report.p_sample) == len(report.p_user) == len(tree.islands)
     with pytest.raises(AssertionError, match="record view"):

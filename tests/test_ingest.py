@@ -280,5 +280,5 @@ def test_user_links_are_one_slice_in_item_order():
     assert [t.tolist() for t in net.user_links(2)] == [[2], [1]]
     tag_ids, sizes = net.user_links()
     assert tag_ids.tolist() == [0, 1, 2, 0, 1, 2] and sizes.tolist() == [1, 2, 2, 2, 2, 1]
-    assert net.pair_tag_ids(1, 0) == (0, 1) and net.pair_tag_ids(0, 1) == ()
-    assert net.pair_tag_ids(-1, 0) == net.pair_tag_ids(1, 5) == ()
+    pairs = {(uid, iid): tag_ids for uid, iid, tag_ids in net.iter_pairs()}
+    assert pairs[1, 0] == (0, 1) and (0, 1) not in pairs

@@ -11,31 +11,33 @@ from tagnet import DataError, TaggingEvent, build_network, degree_stats
 from conftest import ev, net_of
 
 
+def attribution(net):
+    return net.incidence["item", "tag"].toarray().tolist()
+
+
 def test_two_tags_split_weight_in_half():
     net = net_of(ev("mu", "i1", "I1", "I2"))
-    weights = [w for _, _, _, w in net.links()]
-    assert weights == [Fraction(1, 2), Fraction(1, 2)]
+    assert list(net.iter_pairs()) == [(0, 0, (0, 1))]
+    assert attribution(net) == [[0.5, 0.5]]
 
 
 def test_single_tag_carries_full_weight():
     net = net_of(ev("mu", "i", "I"))
-    assert [w for *_, w in net.links()] == [Fraction(1)]
+    assert np.diff(net.pair_ptr).tolist() == [1]
+    assert attribution(net) == [[1.0]]
 
 
 def test_duplicate_events_merge_by_tag_union():
     # two separate events on the same pair act as one event with both tags
     net = net_of(ev("mu", "i", "I1"), ev("mu", "i", "I2"))
-    links = net.links()
-    assert len(links) == 2
-    assert all(w == Fraction(1, 2) for *_, w in links)
-    assert sum(w for *_, w in links) == Fraction(1)
+    assert list(net.iter_pairs()) == [(0, 0, (0, 1))]
+    assert attribution(net) == [[0.5, 0.5]]
 
 
 def test_merge_unions_overlapping_tag_sets():
     net = net_of(ev("mu", "i", "A", "B"), ev("mu", "i", "B", "C"))
-    pair = net.pair_tag_ids(0, 0)
-    assert len(pair) == 3
-    assert all(net.link_weight(0, 0, t) == Fraction(1, 3) for t in pair)
+    assert list(net.iter_pairs()) == [(0, 0, (0, 1, 2))]
+    assert attribution(net) == [[1 / 3, 1 / 3, 1 / 3]]
 
 
 def test_weight_sums_are_exactly_one_per_pair():
@@ -47,15 +49,25 @@ def test_weight_sums_are_exactly_one_per_pair():
         for _ in range(60)
     ]
     net = build_network(events)
-    for uid, iid, tag_ids in net.iter_pairs():
-        total = sum(net.link_weight(uid, iid, t) for t in tag_ids)
-        assert total == Fraction(1)
+    merged = {}
+    for e in events:
+        merged.setdefault((e.user, e.item), set()).update(e.tags)
+    k = np.diff(net.pair_ptr)
+    for (uid, iid, tag_ids), size in zip(net.iter_pairs(), k.tolist()):
+        names = {net.tags.name_of(t) for t in tag_ids}
+        assert len(tag_ids) == size == len(names)
+        assert names == merged[net.users.name_of(uid), net.items.name_of(iid)]
+    # k distinct tags per pair, so its k links of 1/k sum to exactly 1; in W
+    # each owned pair adds 1 to its item's row, one rounding per link
+    audience = np.diff(net.incidence["item", "user"].indptr)
+    row_sums = net.incidence["item", "tag"].sum(axis=1).A1
+    assert row_sums == pytest.approx(audience, rel=len(net.link_tags) * 2.0**-52)
 
 
 def test_ownership_matches_link_projection():
     net = net_of(ev("a", "x", "A"), ev("a", "y", "B"), ev("b", "x", "A", "C"))
-    from_links = {(u, i) for u, i, _, _ in net.links()}
-    assert net.ownership == from_links
+    from_incidence = set(zip(*net.incidence["user", "item"].nonzero()))
+    assert net.ownership == from_incidence
 
 
 def test_default_normalization_trims_and_casefolds():
@@ -122,10 +134,11 @@ def event_lists(draw):
 def _by_name(net):
     """Name-keyed view of the link structure, insensitive to id assignment."""
     out = {}
-    for uid, iid, tid, w in net.links():
-        key = (net.users.name_of(uid), net.items.name_of(iid),
-               net.tags.name_of(tid))
-        out[key] = w
+    for uid, iid, tag_ids in net.iter_pairs():
+        for tid in tag_ids:
+            key = (net.users.name_of(uid), net.items.name_of(iid),
+                   net.tags.name_of(tid))
+            out[key] = len(tag_ids)  # each link weighs 1/k
     return out
 
 
@@ -152,13 +165,11 @@ def test_degree_stats_empty_network():
     assert stats.n_users == stats.n_items == stats.n_tags == 0
     assert stats.items_per_user == 0.0
     assert stats.users_per_item == 0.0
-    assert stats.tag_usage == {}
 
 
-def test_degree_stats_tag_usage_counts_links():
-    net = net_of(ev("mu", "i", "I1", "I2"))
-    stats = degree_stats(net)
-    assert stats.tag_usage == {0: 1, 1: 1}
+def test_tag_link_counts_count_links():
+    net = net_of(ev("mu", "i", "I1", "I2"), ev("nu", "i", "I1"))
+    assert net.tag_link_counts.tolist() == [2, 1]
 
 
 def test_incidence_matrices_hold_ownership_and_weight_sums():
@@ -183,12 +194,13 @@ def test_attribution_sums_match_exact_weights():
                  *rng.sample(tags, rng.randint(1, 5))) for _ in range(300)]
     net = build_network(events)
     exact = {}
-    for _, iid, tid, w in net.links():
-        exact[iid, tid] = exact.get((iid, tid), 0) + w
+    for _, iid, tag_ids in net.iter_pairs():
+        for tid in tag_ids:
+            exact[iid, tid] = exact.get((iid, tid), 0) + Fraction(1, len(tag_ids))
     W = net.incidence["item", "tag"].toarray()
     assert np.count_nonzero(W) == len(exact)
-    # one rounding per addition, at most len(links) additions per entry
-    rel = len(net.links()) * 2.0**-53
+    # one rounding per addition, at most len(link_tags) additions per entry
+    rel = len(net.link_tags) * 2.0**-53
     for (iid, tid), total in exact.items():
         assert W[iid, tid] == pytest.approx(float(total), rel=rel, abs=0)
 
@@ -196,6 +208,7 @@ def test_attribution_sums_match_exact_weights():
 def test_adjacency_lists_are_in_ascending_id_order():
     # u owns item 1 before item 0
     net = net_of(ev("v", "x", "T"), ev("u", "y", "T"), ev("u", "x", "T"))
-    assert net.user_items(1) == (0, 1)
-    assert net.item_users(0) == (0, 1)
-    assert net.user_items(0) == (0,)
+    B, Bt = net.incidence["user", "item"], net.incidence["item", "user"]
+    assert B.indices[B.indptr[1]:B.indptr[2]].tolist() == [0, 1]
+    assert Bt.indices[Bt.indptr[0]:Bt.indptr[1]].tolist() == [0, 1]
+    assert B.indices[B.indptr[0]:B.indptr[1]].tolist() == [0]

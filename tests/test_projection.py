@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -23,10 +24,7 @@ from tagnet import (
     correlation_matrix,
     cosine,
     generate,
-    item_tag_signature,
-    item_user_signature,
     signature_for_view,
-    tag_item_signature,
     top_n,
     user_item_signature,
 )
@@ -98,24 +96,25 @@ def test_user_signature_sums_fractional_weights_to_one():
 
 def test_item_tag_signature_single_event():
     net = net_of(ev("mu", "i", "I1", "I2"))
-    assert item_tag_signature(net, 0).entries == {0: 0.5, 1: 0.5}
+    assert signature_for_view(net, "items-via-tags", 0).entries == {0: 0.5, 1: 0.5}
 
 
 def test_item_tag_signature_three_users():
     net = net_of(ev("a", "i", "I1"), ev("b", "i", "I1"), ev("c", "i", "I1"))
-    assert item_tag_signature(net, 0).entries == {0: 3.0}
+    assert signature_for_view(net, "items-via-tags", 0).entries == {0: 3.0}
 
 
 def test_tag_item_signature_is_transpose_view():
     net = net_of(ev("a", "i1", "I", "J"), ev("b", "i2", "I"))
-    sig = tag_item_signature(net, 0)
+    sig = signature_for_view(net, "tags-via-items", 0)
     assert sig.entries == {0: 0.5, 1: 1.0}
     assert sig.axis == "item"
 
 
 def test_binary_attribution_flag():
     net = net_of(ev("a", "i", "I", "J"))
-    assert item_tag_signature(net, 0, binary=True).entries == {0: 1.0, 1: 1.0}
+    sig = signature_for_view(net, "items-via-tags", 0, binary=True)
+    assert sig.entries == {0: 1.0, 1: 1.0}
 
 
 def test_unowned_entities_give_empty_signatures():
@@ -125,9 +124,9 @@ def test_unowned_entities_give_empty_signatures():
     tags = EntityRegistry("tag", ["x"], {"x": 0})
     net = TripartiteNetwork(users, items, tags, {})
     assert user_item_signature(net, 0).is_empty
-    assert item_user_signature(net, 0).is_empty
-    assert item_tag_signature(net, 0).is_empty
-    assert tag_item_signature(net, 0).is_empty
+    assert signature_for_view(net, "items-via-users", 0).is_empty
+    assert signature_for_view(net, "items-via-tags", 0).is_empty
+    assert signature_for_view(net, "tags-via-items", 0).is_empty
 
 
 def test_unknown_ids_rejected():
@@ -135,7 +134,7 @@ def test_unknown_ids_rejected():
     with pytest.raises(KeyError):
         user_item_signature(net, 5)
     with pytest.raises(KeyError):
-        tag_item_signature(net, -1)
+        signature_for_view(net, "tags-via-items", -1)
 
 
 def test_signature_drops_zeros_and_rejects_negatives():
@@ -322,10 +321,10 @@ def test_top_n_matches_sort_oracle():
     rng = random.Random(3)
     events = random_events(rng, n_users=8, n_items=10, n_tags=7, n_events=60)
     net = build_network(events)
-    counts = {t: net.tag_link_count(t) for t in range(len(net.tags))}
+    counts = dict(enumerate(net.tag_link_counts.tolist()))
     expected = sorted(counts, key=lambda t: (-counts[t], t))[:4]
     assert top_n(net, "tags", 4) == expected
-    audiences = {i: len(net.item_users(i)) for i in range(len(net.items))}
+    audiences = Counter(iid for _, iid, _ in net.iter_pairs())
     expected_items = sorted(audiences, key=lambda i: (-audiences[i], i))[:5]
     assert top_n(net, "items", 5) == expected_items
 
