@@ -47,7 +47,9 @@ from .diversity import (
     tag_spectrum,
 )
 from .io import (
+    read_matrix,
     read_triples,
+    write_matrix,
     write_tree_dot,
     write_tree_json,
     write_triples,
@@ -89,12 +91,14 @@ __all__ = [
     "load_config",
     "pair_agreement",
     "pairwise_distance",
+    "read_matrix",
     "read_triples",
     "signature_for_view",
     "sine_matrix",
     "tag_spectrum",
     "top_n",
     "user_item_signature",
+    "write_matrix",
     "write_tree_dot",
     "write_tree_json",
     "write_triples",

@@ -1,4 +1,4 @@
-"""Deterministic readers and writers for triples files and trees."""
+"""Deterministic readers and writers for triples files, matrices, and trees."""
 
 from __future__ import annotations
 
@@ -18,6 +18,7 @@ import numpy as np
 from .diversity import ActivityReport
 from .model import DataError, TaggingEvent, Triples, _reject
 from .percolation import IslandTree
+from .projection import CorrelationMatrix
 
 logger = logging.getLogger(__name__)
 
@@ -151,6 +152,45 @@ def write_triples(events: Iterable[TaggingEvent], path, fmt: str = "tsv") -> Non
         for event in events:
             for tag in event.tags:
                 writer.writerow([event.user, event.item, tag])
+
+
+def write_matrix(C: CorrelationMatrix, path) -> None:
+    """CSV with a member-name header row and column; 6 decimal places."""
+    with _create(path) as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow([""] + list(C.names))
+        for name, row in zip(C.names, C.dense()):
+            writer.writerow([name] + [f"{float(v):.6f}" for v in row])
+
+
+def read_matrix(path) -> tuple[list[str], np.ndarray]:
+    """Read back a matrix written by write_matrix; returns (names, values).
+    A malformed, non-finite or asymmetric row is a DataError naming its path:line."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
+            raise DataError(f"{path}: empty matrix file")
+        names, values = header[1:], []
+        for k, row in enumerate(reader):
+            where = f"{path}:{reader.line_num}"
+            if row[:1] != names[k:k + 1]:
+                raise DataError(f"{where}: row {row[:1]}, expected {names[k:k + 1]}")
+            if len(row) != len(header):
+                raise DataError(f"{where}: {len(row) - 1} cells, expected {len(names)}")
+            try:
+                values.append([float(v) for v in row[1:]])
+            except ValueError as exc:
+                raise DataError(f"{where}: {exc}") from None
+            if not all(map(math.isfinite, values[k])):
+                raise DataError(f"{where}: non-finite value in row {names[k]!r}")
+            for j in range(k):
+                if values[k][j] != values[j][k]:
+                    raise DataError(f"{where}: {names[k]!r},{names[j]!r} is asymmetric")
+        if len(values) < len(names):
+            where = f"{path}:{reader.line_num + 1}"
+            raise DataError(f"{where}: no row for {names[len(values)]!r}")
+    return names, np.array(values)
 
 
 def write_tree_json(tree: IslandTree, path, report: ActivityReport | None = None) -> None:
