@@ -128,6 +128,14 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _distinct_outputs(*outputs) -> None:
+    """Refuse two outputs that name one file. Paths are compared resolved;
+    hard links to one file are not detected."""
+    paths = [Path(p).resolve() for p in outputs if p]
+    if len(set(paths)) < len(paths):
+        raise UsageError(f"two outputs name one file: {paths[-1]}")
+
+
 def _tree_options(args, family: str, *outputs) -> tuple[int, FilterGrid]:
     """Check a tree command's top-n, grid and output paths up front."""
     n = args.top_n if args.top_n is not None else DEFAULT_TOP_N[family]
@@ -137,6 +145,7 @@ def _tree_options(args, family: str, *outputs) -> tuple[int, FilterGrid]:
         grid = FilterGrid(args.phi_start, args.phi_step)
     except ValueError as exc:
         raise UsageError(f"bad phi grid: {exc}") from None
+    _distinct_outputs(*outputs)
     for path in map(Path, filter(None, outputs)):
         if not path.parent.is_dir():
             raise DataError(f"cannot write {path}: no directory {path.parent}")
@@ -223,6 +232,7 @@ def cmd_compare(args) -> int:
 
 
 def cmd_synth(args) -> int:
+    _distinct_outputs(args.out, args.truth_out)
     config = load_config(args.config)
     if args.seed is not None:
         config = dataclasses.replace(config, seed=args.seed)

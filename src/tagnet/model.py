@@ -172,10 +172,8 @@ class TripartiteNetwork:
     is built on first use. incidence maps a (row kind, column kind) pair to
     B, B^T, W or W^T as scipy CSR matrices with int32 indices, ascending in
     every row; a matrix of B's structure holds pair indices, so a user's
-    pairs are one row slice. projection.correlation_matrix caches its first
-    grid and full cosine rows per view and binary flag in _grids. The object
-    is safe to share across readers: each cache entry serializes its
-    requests with a lock.
+    pairs are one row slice. projection.correlation_matrix caches full
+    cosine rows per view in _grids.
     """
 
     def __init__(
@@ -215,8 +213,8 @@ class TripartiteNetwork:
         }
         #: links per tag id
         self.tag_link_counts = np.bincount(self.link_tags, minlength=len(tags))
-        #: (view, binary) -> projection._CosineRows
-        self._grids: dict[tuple[str, bool], object] = {}
+        #: view -> projection._CosineRows
+        self._grids: dict[str, object] = {}
 
     @cached_property
     def ownership(self) -> frozenset[tuple[int, int]]:

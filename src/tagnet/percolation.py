@@ -165,6 +165,7 @@ def build_tree(C: CorrelationMatrix, grid: FilterGrid | None = None) -> IslandTr
     # its smallest member id.
     n = C.size
     values = sp.csr_matrix(C.values)
+    values.sort_indices()  # in place, so a CSR C.values is left equal
     ii, jj, vv = _edges(values, grid.start)
 
     levels: list[float] = []
@@ -232,16 +233,13 @@ def build_tree(C: CorrelationMatrix, grid: FilterGrid | None = None) -> IslandTr
     return IslandTree(C.family, levels, names, heads // n - 1, parent, members, start)
 
 
-def _blocks(values):
-    """Nonzero entries of a dense or sparse matrix, BLOCK_ROWS rows at a time.
+def _blocks(csr: sp.csr_matrix):
+    """Stored entries of a CSR with sorted indices, BLOCK_ROWS rows at a time.
 
     Yields (lo, hi, rows, cols, data) for the rows lo..hi-1: cols and data are
-    slices of one CSR's arrays, rows their offsets from lo in the index dtype,
-    each row's entries in ascending column order. Other formats are converted
-    to CSR once; a CSR's indices are sorted in place, which leaves it equal.
+    slices of the CSR's arrays, rows their offsets from lo in the index dtype,
+    each row's entries in ascending column order.
     """
-    csr = sp.csr_matrix(values)
-    csr.sort_indices()
     indptr, indices, data = csr.indptr, csr.indices, csr.data
     for lo in range(0, csr.shape[0], BLOCK_ROWS):
         hi = min(lo + BLOCK_ROWS, csr.shape[0])
@@ -249,11 +247,11 @@ def _blocks(values):
         yield lo, hi, rows, indices[indptr[lo]:indptr[hi]], data[indptr[lo]:indptr[hi]]
 
 
-def _edges(values, floor: float):
-    """Upper-triangle (row, col, value) arrays of values, off the diagonal,
-    wherever the value exceeds floor."""
+def _edges(csr: sp.csr_matrix, floor: float):
+    """Upper-triangle (row, col, value) arrays of a CSR with sorted indices,
+    off the diagonal, wherever the value exceeds floor."""
     ii, jj, vv = [np.empty(0, np.int32)], [np.empty(0, np.int32)], [np.empty(0)]
-    for lo, _, rows, cols, data in _blocks(values):
+    for lo, _, rows, cols, data in _blocks(csr):
         rows = rows + lo
         keep = (rows < cols) & (data > floor)
         ii.append(rows[keep])

@@ -2,7 +2,7 @@
 
 Each entity gets a sparse signature over another node family; correlating two
 entities of the same family is the cosine of their signatures. Four views are
-supported: users-via-items and items-via-users (binary ownership profiles),
+supported: users-via-items and items-via-users (0/1 ownership profiles),
 items-via-tags and tags-via-items (weight sums over all users). A view's
 signatures are the rows of one of the network's incidence matrices B, B^T, W
 and W^T. Cross-kind correlations are deliberately not computed.
@@ -11,7 +11,6 @@ and W^T. Cross-kind correlations are deliberately not computed.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,16 +66,14 @@ def user_item_signature(net: TripartiteNetwork, user_id: int) -> SignatureVector
 
 
 def signature_for_view(
-    net: TripartiteNetwork, view: str, entity_id: int, binary: bool = False
+    net: TripartiteNetwork, view: str, entity_id: int
 ) -> SignatureVector:
-    """Signature of one entity under a named view: its incidence matrix row,
-    with every entry counted as 1 when binary."""
+    """Signature of one entity under a named view: its incidence matrix row."""
     family, axis = _view(view)
     _registry(net, family).check(entity_id)
     rows = net.incidence[family, axis]
     lo, hi = rows.indptr[entity_id], rows.indptr[entity_id + 1]
-    values = [1.0] * (hi - lo) if binary else rows.data[lo:hi].tolist()
-    entries = dict(zip(rows.indices[lo:hi].tolist(), values))
+    entries = dict(zip(rows.indices[lo:hi].tolist(), rows.data[lo:hi].tolist()))
     return SignatureVector(family, entity_id, axis, entries)
 
 
@@ -185,7 +182,6 @@ def correlation_matrix(
     family: str,
     view: str | None = None,
     members: list[int] | None = None,
-    binary: bool = False,
 ) -> CorrelationMatrix:
     """Pairwise cosine matrix of a family of entities under one view.
 
@@ -193,12 +189,12 @@ def correlation_matrix(
     Zero-signature members are flagged, get a 0 diagonal, and correlate 0
     with everything.
 
-    Requests are served from a cache on the network, one per view and
-    binary flag (_CosineRows). The first request gets its own grid, and an
-    equal request gets that grid again, uncopied and read-only. Any other
-    request is cut from full cosine rows over the family, and computes only
-    the rows of its members that have none yet. Results are bit-identical
-    whatever the call history.
+    Requests are served from a cache on the network, one per view
+    (_CosineRows). The first request on a view gets its own grid, which is
+    not kept. Every later request is cut from full cosine rows over the
+    family, and computes only the rows of its members that have none yet.
+    Results are bit-identical whatever the call history, and each holds
+    arrays of its own, so writing into one changes no other.
     """
     kind = _as_kind(family)
     if view is None:
@@ -213,13 +209,13 @@ def correlation_matrix(
 
     if any(a == b for a, b in zip(members, members[1:])):
         raise ValueError("duplicate members")
-    cache = net._grids.get((view, binary))
-    if cache is None:
-        cache = net._grids.setdefault(
-            (view, binary), _CosineRows(net.incidence[VIEWS[view]], binary)
-        )
     wanted = np.array(members, dtype=np.intp)
-    values = cache.block(wanted)
+    cache = net._grids.get(view)
+    if cache is None:
+        cache = net._grids[view] = _CosineRows(net.incidence[VIEWS[view]])
+        values = cache._cosines(wanted, family=False)
+    else:
+        values = cache.block(wanted)
     names = [registry.names[m] for m in members]
     zero_members = frozenset(wanted[cache.gram[wanted] == 0.0].tolist())
     return CorrelationMatrix(kind, view, members, names, values, zero_members)
@@ -228,20 +224,16 @@ def correlation_matrix(
 class _CosineRows:
     """Cosine rows of one view's members, each over the whole family.
 
-    The first request is answered with its own grid, kept to serve an equal
-    request uncopied. Any other request first computes, in one product, the
-    full row of each of its members that has none yet; its block is then
-    those rows cut to the block. Each cosine is
-    G[i, j] / sqrt(G[i, i] * G[j, j]) on the Gram matrix G = A A^T of the raw
-    signatures (the rows of a). For 0/1 signatures G is exact, so each cosine
-    is rounded once and exact values stay exact: two users with 6 items
-    sharing 3 correlate exactly 0.5. A lock serializes requests.
+    block first computes, in one product, the full row of each requested
+    member that has none yet; the block is then those rows cut to the
+    requested members. Each cosine is G[i, j] / sqrt(G[i, i] * G[j, j]) on
+    the Gram matrix G = A A^T of the raw signatures (the rows of a). For 0/1
+    signatures G is exact, so each cosine is rounded once and exact values
+    stay exact: two users with 6 items sharing 3 correlate exactly 0.5.
     """
 
-    def __init__(self, a: sp.csr_matrix, binary: bool) -> None:
+    def __init__(self, a: sp.csr_matrix) -> None:
         n = a.shape[0]
-        if binary:
-            a = sp.csr_matrix((np.ones_like(a.data), a.indices, a.indptr), a.shape)
         self.a = a
         # G[m, m] added from 0.0 in ascending column order (a's rows are
         # ascending), as csr_matmat adds every G[i, j]: the product's bits.
@@ -250,37 +242,27 @@ class _CosineRows:
         self.slot = np.full(n, -1)       # scratch: block position per member
         self.cols: list = [None] * n     # per member: its full row's columns
         self.vals: list = [None] * n     # and cosines
-        self.first: tuple[np.ndarray, sp.csr_matrix] | None = None
-        self.lock = threading.Lock()
 
     def block(self, wanted: np.ndarray) -> sp.csr_matrix:
-        with self.lock:
-            if self.first is None:
-                grid = self._cosines(wanted, family=False)
-                for array in (grid.data, grid.indices, grid.indptr):
-                    array.flags.writeable = False
-                self.first = wanted, grid
-            if np.array_equal(self.first[0], wanted):
-                return self.first[1]
-            members, k = wanted.tolist(), len(wanted)
-            new = np.array([m for m in members if self.cols[m] is None], np.intp)
-            if new.size:
-                grid = self._cosines(new, family=True)
-                cut = grid.indptr[1:-1]
-                split = zip(np.split(grid.indices, cut), np.split(grid.data, cut))
-                for m, (c, v) in zip(new.tolist(), split):
-                    self.cols[m], self.vals[m] = c, v
-            cols = [self.cols[m] for m in members]
-            lens = np.fromiter(map(len, cols), np.intp, k)
-            cols = np.concatenate([np.empty(0, np.intp), *cols])
-            vals = np.concatenate([np.empty(0), *(self.vals[m] for m in members)])
-            self.slot[wanted] = np.arange(k)
-            col = self.slot[cols]
-            self.slot[wanted] = -1
-            keep = col >= 0
-            kept = np.concatenate(([0], np.cumsum(keep)))
-            indptr = kept[np.concatenate(([0], np.cumsum(lens)))]
-            return sp.csr_matrix((vals[keep], col[keep], indptr), shape=(k, k))
+        members, k = wanted.tolist(), len(wanted)
+        new = np.array([m for m in members if self.cols[m] is None], np.intp)
+        if new.size:
+            grid = self._cosines(new, family=True)
+            cut = grid.indptr[1:-1]
+            split = zip(np.split(grid.indices, cut), np.split(grid.data, cut))
+            for m, (c, v) in zip(new.tolist(), split):
+                self.cols[m], self.vals[m] = c, v
+        cols = [self.cols[m] for m in members]
+        lens = np.fromiter(map(len, cols), np.intp, k)
+        cols = np.concatenate([np.empty(0, np.intp), *cols])
+        vals = np.concatenate([np.empty(0), *(self.vals[m] for m in members)])
+        self.slot[wanted] = np.arange(k)
+        col = self.slot[cols]
+        self.slot[wanted] = -1
+        keep = col >= 0
+        kept = np.concatenate(([0], np.cumsum(keep)))
+        indptr = kept[np.concatenate(([0], np.cumsum(lens)))]
+        return sp.csr_matrix((vals[keep], col[keep], indptr), shape=(k, k))
 
     def _cosines(self, new: np.ndarray, family: bool) -> sp.csr_matrix:
         """Cosines of the members new against the whole family, or against
@@ -292,7 +274,7 @@ class _CosineRows:
         # are present, and G[i, j] and G[j, i] are equal. The product's CSC,
         # counting-sorted, is the new rows' CSR.
         grid = (left @ rows.T).tocsc().T
-        # The diagonal comes out exactly 1: sqrt(x * x) is x in binary
+        # The diagonal comes out exactly 1: sqrt(x * x) is x in IEEE 754
         # floating point, barring overflow and underflow. Zero rows store
         # nothing.
         scale = np.repeat(self.gram[new], np.diff(grid.indptr))

@@ -98,6 +98,24 @@ def test_directory_output_fails_before_ingest(tmp_path, triples, capsys, monkeyp
     assert sorted(p.name for p in tmp_path.rglob("*")) == ["adir", "triples.tsv"]
 
 
+@pytest.mark.parametrize("argv", [
+    ["tree", "--input", "triples.tsv", "--out-json", "out", "--out-dot", "out"],
+    ["diversity", "ann", "--input", "triples.tsv", "--out-dot", "out", "--out-json", "./out"],
+    ["synth", "--config", "planted.cfg", "--out", "./out", "--truth-out", "out"],
+], ids=["tree", "diversity", "synth"])
+def test_two_outputs_naming_one_file_is_usage_error_before_input(tmp_path, triples, capsys,
+                                                                 monkeypatch, argv):
+    def read(*args, **kwargs):
+        raise AssertionError("an input was read before the outputs were checked")
+
+    monkeypatch.setattr(tagnet.cli, "read_triples", read)
+    monkeypatch.setattr(tagnet.cli, "load_config", read)
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == EXIT_USAGE
+    assert "two outputs name one file" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["triples.tsv"]
+
+
 @pytest.mark.parametrize("strict", [[], ["--strict"]], ids=["lenient", "strict"])
 def test_field_over_the_csv_limit_is_data_error(tmp_path, capsys, strict):
     # csv.reader cannot tokenize the line, so no mode can skip it

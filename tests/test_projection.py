@@ -111,12 +111,6 @@ def test_tag_item_signature_is_transpose_view():
     assert sig.axis == "item"
 
 
-def test_binary_attribution_flag():
-    net = net_of(ev("a", "i", "I", "J"))
-    sig = signature_for_view(net, "items-via-tags", 0, binary=True)
-    assert sig.entries == {0: 1.0, 1: 1.0}
-
-
 def test_unowned_entities_give_empty_signatures():
     # construct directly so a registered user owns nothing
     users = EntityRegistry("user", ["ghost"], {"ghost": 0})
@@ -425,24 +419,6 @@ def test_sparse_correlation_keeps_int32_indices():
         assert values.indices.dtype == values.indptr.dtype == np.int32
 
 
-@pytest.mark.parametrize("view", ["items-via-tags", "tags-via-items"])
-def test_binary_matrix_matches_binary_signatures(view):
-    rng = random.Random(7)
-    net = build_network(random_events(rng, n_events=40))
-    family = view.split("-")[0]
-    weighted = correlation_matrix(net, family, view=view)
-    C = correlation_matrix(net, family, view=view, binary=True)
-    sigs = {m: tagnet.projection.signature_for_view(net, view, m, binary=True)
-            for m in C.members}
-    for a in C.members:
-        for b in C.members:
-            assert C.value(a, b) == pytest.approx(cosine(sigs[a], sigs[b]), abs=1e-12)
-    # the binary copy leaves the network's weights alone
-    again = correlation_matrix(net, family, view=view)
-    assert np.array_equal(again.dense(), weighted.dense())
-    assert not np.array_equal(C.dense(), weighted.dense())
-
-
 @pytest.mark.parametrize("make", [
     lambda values: CorrelationMatrix("tag", "v", [0, 1], ["a", "b"], values),
     lambda values: SineMatrix([0, 1], ["a", "b"], values),
@@ -456,12 +432,11 @@ def test_values_must_fit_the_members(make):
 
 # -- the cached grid ------------------------------------------------------------
 
-def _request(net, view, members, binary):
+def _request(net, view, members):
     """What correlation_matrix gives: the exception type, or the bytes of the
     values and the member, name and zero-member lists."""
     try:
-        C = correlation_matrix(net, view.split("-")[0], view=view,
-                               members=members, binary=binary)
+        C = correlation_matrix(net, view.split("-")[0], view=view, members=members)
     except (KeyError, ValueError) as exc:
         return type(exc)
     dense = C.values.toarray()
@@ -476,8 +451,7 @@ member_lists = st.one_of(
     st.lists(st.integers(0, 6), unique=True, max_size=6),
 )
 requests = st.lists(
-    st.tuples(st.sampled_from(sorted(tagnet.projection.VIEWS)), member_lists,
-              st.booleans()),
+    st.tuples(st.sampled_from(sorted(tagnet.projection.VIEWS)), member_lists),
     min_size=1,
     max_size=6,
 )
@@ -486,42 +460,43 @@ SHARED_TAGS = [("u0", "i0", ["t0", "t1"]), ("u1", "i0", ["t1", "t2"]),
 
 
 @given(rows=corpora, calls=requests)
-@example(rows=SHARED_TAGS, calls=[("tags-via-items", [], False),
-                                  ("tags-via-items", [0, 2], False),
-                                  ("tags-via-items", None, False),
-                                  ("tags-via-items", [], False)])
-@example(rows=SHARED_TAGS, calls=[("tags-via-items", [1, 3], False),
-                                  ("tags-via-items", [0, 1, 2, 3], False),
-                                  ("tags-via-items", [1, 3], False)])
-@example(rows=SHARED_TAGS, calls=[("tags-via-items", [2, 3], True),
-                                  ("tags-via-items", [0, 3], True),
-                                  ("tags-via-items", [1, 2], True),
-                                  ("tags-via-items", [0, 1, 2], True)])
+@example(rows=SHARED_TAGS, calls=[("tags-via-items", []),
+                                  ("tags-via-items", [0, 2]),
+                                  ("tags-via-items", None),
+                                  ("tags-via-items", [])])
+@example(rows=SHARED_TAGS, calls=[("tags-via-items", [1, 3]),
+                                  ("tags-via-items", [0, 1, 2, 3]),
+                                  ("tags-via-items", [1, 3])])
+@example(rows=SHARED_TAGS, calls=[("tags-via-items", [2, 3]),
+                                  ("tags-via-items", [0, 3]),
+                                  ("tags-via-items", [1, 2]),
+                                  ("tags-via-items", [0, 1, 2])])
 def test_cached_grid_gives_what_a_fresh_network_gives(rows, calls):
     def network():
         return build_network([TaggingEvent(u, i, tuple(t)) for u, i, t in rows])
 
     net = network()
-    for view, members, binary in calls:
-        assert _request(net, view, members, binary) == _request(
-            network(), view, members, binary)
+    for view, members in calls:
+        assert _request(net, view, members) == _request(network(), view, members)
 
 
-def test_whole_cached_grid_is_returned_uncopied_and_read_only():
-    net = net_of(ev("a", "x", "T", "U"), ev("b", "x", "T"), ev("b", "y", "V"))
-    full = correlation_matrix(net, "tags")
-    part = correlation_matrix(net, "tags", members=[0, 1])
-    again = correlation_matrix(net, "tags", members=[2, 0, 1])
-    assert again.values is full.values
-    assert not np.shares_memory(part.values.data, full.values.data)
-    for array in (full.values.data, full.values.indices, full.values.indptr):
-        with pytest.raises(ValueError, match="read-only"):
-            array[0] = 0
+def test_writing_into_a_result_leaves_later_requests_unchanged():
+    def network():
+        return build_network([TaggingEvent(u, i, tuple(t)) for u, i, t in SHARED_TAGS])
+
+    net = network()
+    for members in ([0, 1, 2], [0, 1, 2], [1, 2, 3], None, [0, 3]):
+        C = correlation_matrix(net, "tags", members=members)
+        expected = correlation_matrix(network(), "tags", members=members).values
+        assert C.values.toarray().tobytes() == expected.toarray().tobytes()
+        C.values.data[:] = -1.0
 
 
 def test_a_request_computes_only_its_uncached_rows(monkeypatch):
     # (members, against the whole family) per product: the first request's
-    # own grid, then the full row of each member that has none yet.
+    # own grid, which is not kept, then the full row of each member that has
+    # none yet. So the repeated [0, 1] computes row 0, and [0, 2] computes
+    # nothing.
     products = []
     cosines = tagnet.projection._CosineRows._cosines
     monkeypatch.setattr(
@@ -555,21 +530,20 @@ def test_grids_come_back_with_ascending_indices_in_every_row(family):
     later = correlation_matrix(net, family, members=range(n // 2))  # odd ones new
     assert _ascending_in_every_row(first.values)
     assert _ascending_in_every_row(later.values)
-    rows = net._grids[tagnet.projection.DEFAULT_VIEW[family[:-1]], False]
+    rows = net._grids[tagnet.projection.DEFAULT_VIEW[family[:-1]]]
     assert all(np.all(np.diff(rows.cols[m]) > 0) for m in range(1, n // 2, 2))
 
 
-@pytest.mark.parametrize("binary", [False, True])
 @pytest.mark.parametrize("view", sorted(tagnet.projection.VIEWS))
-def test_every_block_entry_is_the_cosine_of_its_signatures_bit_for_bit(view, binary):
+def test_every_block_entry_is_the_cosine_of_its_signatures_bit_for_bit(view):
     net = build_network(generate(PlantedConfig(4, 6, 12, 8, seed=2))[0])
     family = view.split("-")[0]
     n = len({"users": net.users, "items": net.items, "tags": net.tags}[family])
-    sigs = [signature_for_view(net, view, m, binary=binary) for m in range(n)]
-    # The first grid, an equal request it serves, full rows new and cached,
-    # and the whole family after partial requests.
+    sigs = [signature_for_view(net, view, m) for m in range(n)]
+    # The first grid, an equal request cut from new full rows, full rows new
+    # and cached, and the whole family after partial requests.
     requests = [range(0, n, 2), range(0, n, 2), range(n // 2), range(1, n, 3), None]
     for members in requests:
-        C = correlation_matrix(net, family, view=view, members=members, binary=binary)
+        C = correlation_matrix(net, family, view=view, members=members)
         expected = [[cosine(sigs[a], sigs[b]) for b in C.members] for a in C.members]
         assert np.array_equal(C.dense(), np.array(expected).reshape(C.values.shape))
