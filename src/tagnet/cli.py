@@ -128,12 +128,18 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _distinct_outputs(*outputs) -> None:
-    """Refuse two outputs that name one file. Paths are compared resolved;
-    hard links to one file are not detected."""
+def _check_outputs(*outputs) -> None:
+    """Refuse, before any input is read, two outputs that name one file (a
+    usage error), or an output in no directory or that is one (a data error).
+    Paths are compared resolved; hard links to one file are not detected."""
     paths = [Path(p).resolve() for p in outputs if p]
     if len(set(paths)) < len(paths):
         raise UsageError(f"two outputs name one file: {paths[-1]}")
+    for path in map(Path, filter(None, outputs)):
+        if not path.parent.is_dir():
+            raise DataError(f"cannot write {path}: no directory {path.parent}")
+        if path.is_dir():
+            raise DataError(f"cannot write {path}: it is a directory")
 
 
 def _tree_options(args, family: str, *outputs) -> tuple[int, FilterGrid]:
@@ -145,12 +151,7 @@ def _tree_options(args, family: str, *outputs) -> tuple[int, FilterGrid]:
         grid = FilterGrid(args.phi_start, args.phi_step)
     except ValueError as exc:
         raise UsageError(f"bad phi grid: {exc}") from None
-    _distinct_outputs(*outputs)
-    for path in map(Path, filter(None, outputs)):
-        if not path.parent.is_dir():
-            raise DataError(f"cannot write {path}: no directory {path.parent}")
-        if path.is_dir():
-            raise DataError(f"cannot write {path}: it is a directory")
+    _check_outputs(*outputs)
     return n, grid
 
 
@@ -232,7 +233,7 @@ def cmd_compare(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    _distinct_outputs(args.out, args.truth_out)
+    _check_outputs(args.out, args.truth_out)
     config = load_config(args.config)
     if args.seed is not None:
         config = dataclasses.replace(config, seed=args.seed)

@@ -33,6 +33,9 @@ DOT_WIDTH_SCALE = 0.5
 #: before they can set off a collection.
 CHUNK_ROWS = 512
 
+#: Island records that write_tree_json formats and joins per write.
+CHUNK_ISLANDS = 1024
+
 
 def read_triples(path, fmt: str = "tsv", strict: bool = False) -> Triples:
     """Read a user/item/tag triples file into interned Triples columns.
@@ -206,35 +209,67 @@ def write_tree_json(tree: IslandTree, path, report: ActivityReport | None = None
     by_name = sorted(tree.names, key=tree.names.__getitem__)
     rank = dict(zip(by_name, range(len(by_name))))
     quoted = [encode_basestring_ascii(tree.names[m]) for m in by_name]
+    quoted_of = dict(zip(by_name, quoted))
     island, sizes, characteristic = tree.layout
-    ranks = np.array([rank[m] for m in tree.members.tolist()])
-    texts = [quoted[r] for r in ranks[np.lexsort((ranks, island))].tolist()]
-    bounds, levels, sizes = tree.start.tolist(), tree.level.tolist(), sizes.tolist()
+    # Islands only refine, so one as large as its parent has its members: it
+    # takes the member text of its nearest ancestor that split, or the root's.
+    ids = np.arange(sizes.size)
+    source = np.where(sizes == sizes[tree.parent], tree.parent, ids)
+    source[0] = 0
+    while not np.array_equal(hop := source[source], source):
+        source = hop
+    split = source == ids
+    entries = split[island]
+    ranks = np.array([rank[m] for m in tree.members[entries].tolist()])
+    texts = [quoted[r] for r in ranks[np.lexsort((ranks, island[entries]))].tolist()]
+    bounds = np.r_[0, np.cumsum(sizes[split])].tolist()
+    distinct = [_array(texts[lo:hi], 6) for lo, hi in zip(bounds, bounds[1:])]
+    members = (np.cumsum(split) - 1)[source]  # each island's distinct text
     phi = [json.dumps(p) for p in tree.levels]
-    columns = {
-        "characteristic": [quoted[rank[m]] for m in characteristic.tolist()],
-        "id": range(len(levels)),
-        "level": levels,
-        "members": (_array(texts[lo:hi], 6) for lo, hi in zip(bounds, bounds[1:])),
-        "parent": ["null" if p < 0 else p for p in tree.parent.tolist()],
-        "phi": ["null" if level < 0 else phi[level] for level in levels],
-        "singleton": ["true" if size == 1 else "false" for size in sizes],
-        "size": sizes,
-    }
+    # Indexed by level; the root's level, -1, reads the last entry.
+    level_text = list(map(str, range(len(phi)))) + ["-1"]
+    phi_text = phi + ["null"]
+    keys = ["characteristic", "id", "level", "members", "parent", "phi", "singleton", "size"]
     if report is not None:
-        activity = [report.records[k] for k in range(len(levels))]
-        columns["color"] = [_array(list(map(str, a.color)), 6) for a in activity]
-        columns["p_sample"] = [json.dumps(a.p_sample) for a in activity]
-        columns["p_user"] = [json.dumps(a.p_user) for a in activity]
-        columns["r"] = [json.dumps(a.ratio) for a in activity]
-    keys = sorted(columns)
-    record = "{\n" + ",\n".join(f'      "{key}": %s' for key in keys) + "\n    }"
-    islands = (record % row for row in zip(*(columns[key] for key in keys)))
-    with _create(path) as fh:  # never held whole
-        fh.write(f'{{\n  "family": {encode_basestring_ascii(tree.family)},\n')
-        fh.write(f'  "islands": [\n    {next(islands)}')  # the root
-        fh.writelines(",\n    " + text for text in islands)
-        fh.write(f'\n  ],\n  "levels": {_array(phi, 2)},\n  "root": 0\n}}\n')
+        keys = sorted(keys + ["color", "p_sample", "p_user", "r"])
+    # A record is 2 * len(keys) texts, each key's literal then its value; the
+    # first literal closes the record before.
+    stride = 2 * len(keys)
+    literals = [f',\n      "{key}": ' for key in keys]
+    opening = "{" + literals[0][1:]
+    literals[0] = "\n    },\n    " + opening
+    template = [text for literal in literals for text in (literal, None)] * CHUNK_ISLANDS
+    # Never held whole: CHUNK_ISLANDS records at a time, beside one member text
+    # per island whose size is not its parent's.
+    with _create(path) as fh:
+        fh.write(f'{{\n  "family": {encode_basestring_ascii(tree.family)},\n  "islands": [')
+        for lo in range(0, sizes.size, CHUNK_ISLANDS):
+            hi = min(lo + CHUNK_ISLANDS, sizes.size)
+            level, size = tree.level[lo:hi].tolist(), sizes[lo:hi].tolist()
+            columns = {
+                "characteristic": map(quoted_of.__getitem__, characteristic[lo:hi].tolist()),
+                "id": map(str, range(lo, hi)),
+                "level": map(level_text.__getitem__, level),
+                "members": map(distinct.__getitem__, members[lo:hi].tolist()),
+                "parent": map(str, tree.parent[lo:hi].tolist()),
+                "phi": map(phi_text.__getitem__, level),
+                "singleton": ["true" if s == 1 else "false" for s in size],
+                "size": map(str, size),
+            }
+            if report is not None:
+                activity = [report.records[k] for k in range(lo, hi)]
+                columns["color"] = [_array(list(map(str, a.color)), 6) for a in activity]
+                columns["p_sample"] = [json.dumps(a.p_sample) for a in activity]
+                columns["p_user"] = [json.dumps(a.p_user) for a in activity]
+                columns["r"] = [json.dumps(a.ratio) for a in activity]
+            texts = template[:stride * (hi - lo)]
+            for k, key in enumerate(keys):
+                texts[2 * k + 1::stride] = columns[key]
+            if lo == 0:  # the root opens the list and has no parent
+                texts[0] = "\n    " + opening
+                texts[2 * keys.index("parent") + 1] = "null"
+            fh.write("".join(texts))
+        fh.write(f'\n    }}\n  ],\n  "levels": {_array(phi, 2)},\n  "root": 0\n}}\n')
 
 
 def _array(items: list[str], indent: int) -> str:

@@ -208,14 +208,18 @@ def build_tree(C: CorrelationMatrix, grid: FilterGrid | None = None) -> IslandTr
     # sums[t] sums each row over its island in labels[t]. Islands only refine, so
     # the entries kept for one level are filtered again for the next; a block
     # none of whose entries leaves its island keeps the level above's sums.
+    # Indices are cast to intp once per block: numpy casts any other index
+    # dtype again on every gather.
     sums = np.empty(labels.shape)
     for lo, hi, rows, cols, data in _blocks(values):
         sums[0, lo:hi] = np.bincount(rows, weights=data, minlength=hi - lo)  # the root
+        rows, cols = rows.astype(np.intp), cols.astype(np.intp)
         for t in range(1, len(labels)):
             if split[t - 1, lo // BLOCK_ROWS]:
-                inside = labels[t, rows + lo] == labels[t, cols]
+                inside = labels[t, lo:hi].take(rows) == labels[t].take(cols)
                 if not inside.all():
-                    rows, cols, data = rows[inside], cols[inside], data[inside]
+                    kept = np.flatnonzero(inside)
+                    rows, cols, data = rows.take(kept), cols.take(kept), data.take(kept)
                     sums[t, lo:hi] = np.bincount(rows, weights=data, minlength=hi - lo)
                     continue
             sums[t, lo:hi] = sums[t - 1, lo:hi]

@@ -236,6 +236,25 @@ def test_out_of_range_synth_config_is_data_error(tmp_path, capsys):
     assert not (tmp_path / "out.tsv").exists()
 
 
+@pytest.mark.parametrize("bad", ["--out", "--truth-out"])
+@pytest.mark.parametrize("where", ["missing/p.out", "adir"])
+def test_unwritable_synth_output_fails_before_config(tmp_path, capsys, monkeypatch,
+                                                     bad, where):
+    def read(*args, **kwargs):
+        raise AssertionError("the config was read before the outputs were checked")
+
+    monkeypatch.setattr(tagnet.cli, "load_config", read)
+    (tmp_path / "adir").mkdir()
+    outputs = {"--out": tmp_path / "p.tsv", "--truth-out": tmp_path / "t.tsv"}
+    outputs[bad] = tmp_path / where
+    argv = ["synth", "--config", str(tmp_path / "planted.cfg")]
+    for flag, path in outputs.items():
+        argv += [flag, str(path)]
+    assert main(argv) == EXIT_DATA
+    assert f"cannot write {outputs[bad]}: " in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["adir"]
+
+
 def test_undecodable_synth_config_is_data_error(tmp_path, capsys):
     config = tmp_path / "planted.cfg"
     config.write_bytes(SYNTH_CONFIG.replace("# two", "# caf\xe9, two").encode("latin-1"))

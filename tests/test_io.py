@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+import tagnet.io
 from tagnet import (
     ActivityReport,
     CorrelationMatrix,
@@ -451,6 +452,10 @@ LINKLESS = build_tree(CorrelationMatrix.from_dense(np.eye(2), names=["b", "a"]))
 # phi values 0.1, 0.17, 0.24000000000000002, ... have long reprs
 LONG_PHI = build_tree(CorrelationMatrix.from_dense([[1.0, 0.9], [0.9, 1.0]]),
                       FilterGrid(0.1, 0.07))
+# {0, 1} splits off the root at phi = 0, keeps its members through three
+# levels, and splits at phi = 0.2, so those three reuse the text written at 0.
+CHAIN = build_tree(CorrelationMatrix.from_dense([[1.0, 0.2, 0.0], [0.2, 1.0, 0.0],
+                                                 [0.0, 0.0, 1.0]]))
 
 
 @given(case=trees_and_reports())
@@ -458,14 +463,22 @@ LONG_PHI = build_tree(CorrelationMatrix.from_dense([[1.0, 0.9], [0.9, 1.0]]),
 @example(case=(LINKLESS, _sparse_sample_report(LINKLESS)))
 @example(case=(LONG_PHI, None))
 @example(case=(LONG_PHI, _sparse_sample_report(LONG_PHI)))
+@example(case=(CHAIN, None))
+@example(case=(CHAIN, _sparse_sample_report(CHAIN)))
 def test_tree_json_bytes_equal_json_dump(tmp_path_factory, case):
     tree, report = case
     path = tmp_path_factory.mktemp("json") / "t.json"
-    write_tree_json(tree, path, report=report)
-    assert path.read_bytes() == json_dump_text(tree, report).encode("ascii")
+    expected = json_dump_text(tree, report).encode("ascii")
+    # Chunks of one and two records put record boundaries on chunk boundaries.
+    for chunk in (1, 2, tagnet.io.CHUNK_ISLANDS):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(tagnet.io, "CHUNK_ISLANDS", chunk)
+            write_tree_json(tree, path, report=report)
+        assert path.read_bytes() == expected, chunk
 
 
 def test_long_phi_and_undefined_ratio_examples_hold_what_they_name():
     assert "0.24000000000000002" in json_dump_text(LONG_PHI)
     ratios = [record.ratio for record in _sparse_sample_report(LINKLESS).records.values()]
     assert None in ratios and any(r is not None for r in ratios)
+    assert [isl.size for isl in CHAIN.islands if 0 in isl.members] == [3, 2, 2, 2, 2, 1]

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import random
@@ -403,6 +404,19 @@ def test_sweep_matches_bruteforce_oracle_with_ties(C, grid):
     order = [(isl.level, min(isl.members)) for isl in tree.islands[1:]]
     assert order == sorted(order)
     assert [isl.id for isl in tree.islands] == list(range(len(tree.islands)))
+
+
+@given(C=stored_matrices(), grid=grids)
+def test_sweep_arrays_do_not_depend_on_the_index_dtype(C, grid):
+    narrow = sp.csr_matrix(C.values)
+    wide = narrow.copy()
+    wide.indices, wide.indptr = wide.indices.astype(np.int64), wide.indptr.astype(np.int64)
+    assert narrow.indices.dtype == np.int32
+    assert sp.csr_matrix(wide).indices.dtype == np.int64
+    trees = [sweep_in_two_row_blocks(dataclasses.replace(C, values=values), grid)
+             for values in (narrow, wide)]
+    for name in ("level", "parent", "members", "start"):
+        assert np.array_equal(getattr(trees[0], name), getattr(trees[1], name)), name
 
 
 @given(C=stored_matrices(), grid=grids)
