@@ -128,13 +128,17 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _check_outputs(*outputs) -> None:
-    """Refuse, before any input is read, two outputs that name one file (a
-    usage error), or an output in no directory or that is one (a data error).
-    Paths are compared resolved; hard links to one file are not detected."""
+def _check_outputs(source, *outputs) -> None:
+    """Refuse, before any input is read, an output that names the source
+    file or another output (a usage error), or an output in no directory or
+    that is one (a data error). Paths are compared resolved; hard links to
+    one file are not detected."""
     paths = [Path(p).resolve() for p in outputs if p]
     if len(set(paths)) < len(paths):
         raise UsageError(f"two outputs name one file: {paths[-1]}")
+    source = Path(source).resolve()
+    if source in paths:
+        raise UsageError(f"an output names the input file: {source}")
     for path in map(Path, filter(None, outputs)):
         if not path.parent.is_dir():
             raise DataError(f"cannot write {path}: no directory {path.parent}")
@@ -151,7 +155,7 @@ def _tree_options(args, family: str, *outputs) -> tuple[int, FilterGrid]:
         grid = FilterGrid(args.phi_start, args.phi_step)
     except ValueError as exc:
         raise UsageError(f"bad phi grid: {exc}") from None
-    _check_outputs(*outputs)
+    _check_outputs(args.input, *outputs)
     return n, grid
 
 
@@ -181,6 +185,7 @@ def cmd_tree(args) -> int:
         raise DataError(f"family {args.family} has fewer than 2 members")
     matrix = correlation_matrix(net, kind, view=args.view, members=members)
     tree = build_tree(matrix, grid)
+    del matrix  # not held while the writers run
     write_tree_json(tree, args.out_json)
     write_tree_dot(tree, args.out_dot, include_singletons=args.include_singletons)
     return EXIT_OK
@@ -233,7 +238,7 @@ def cmd_compare(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    _check_outputs(args.out, args.truth_out)
+    _check_outputs(args.config, args.out, args.truth_out)
     config = load_config(args.config)
     if args.seed is not None:
         config = dataclasses.replace(config, seed=args.seed)

@@ -7,10 +7,13 @@ forest hung under a virtual root.
 
 The islands at phi are the components of the graph {C > phi}, so every level
 comes out of one single-linkage pass (Gower & Ross 1969): bucket the links by
-the last level they survive, join each bucket's ends from the top level down,
-and read the groups off after each bucket. Islands only refine as phi grows,
-so the pass can run from the top down, and rows none of whose entries leave
-their islands at a level keep the island sums of the level above.
+the number of levels they survive, join each bucket's ends from the top level
+down, and read the groups off after each bucket. A link's bucket is
+arithmetic on its value and the grid, and each row block's links are written
+straight into bucket order, so the pass holds only the links' two ends.
+Islands only refine as phi grows, so the pass can run from the top down, and
+rows none of whose entries leave their islands at a level keep the island
+sums of the level above.
 """
 
 from __future__ import annotations
@@ -21,13 +24,10 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 
-from .projection import CorrelationMatrix
+from .projection import BLOCK_ROWS, CorrelationMatrix
 
 #: Grids may have at most this many levels below phi = 1.
 MAX_LEVELS = 1000
-
-#: Matrix rows read per block; bounds the per-level gathers of the island sums.
-BLOCK_ROWS = 128
 
 
 @dataclass(frozen=True)
@@ -54,6 +54,22 @@ class FilterGrid:
 
     def phi(self, t: int) -> float:
         return self.start + t * self.step
+
+    @cached_property
+    def size(self) -> int:
+        """The number of thresholds below 1."""
+        return next(t for t in range(MAX_LEVELS + 1) if self.phi(t) >= 1.0)
+
+    def bucket(self, values: np.ndarray) -> np.ndarray:
+        """How many of the thresholds below 1 each value exceeds, as uint16:
+        np.searchsorted over them, without a search. (v - start) / step
+        rounds up to within one of the count, which is then checked against
+        phi computed as phi computes it, one step each way."""
+        t = np.ceil((values - self.start) / self.step)
+        t = np.clip(t, 1, self.size).astype(np.intp)
+        t -= self.start + (t - 1) * self.step >= values
+        t += self.start + t * self.step < values
+        return np.minimum(t, self.size).astype(np.min_scalar_type(MAX_LEVELS))
 
 
 @dataclass
@@ -147,14 +163,16 @@ def build_tree(C: CorrelationMatrix, grid: FilterGrid | None = None) -> IslandTr
     to draw it.
 
     The islands come from one single-linkage pass: the links above
-    grid.start are bucketed by the number of levels whose phi they exceed,
-    and from the top level down each bucket joins its links' ends in a
-    union-find forest before the groups are recorded. A row block none of
-    whose entries leaves its island at a level copies the level above's
-    sums, which would add the same entries in the same order. Every island's
-    characteristic element is the member whose summed correlation to the
-    island, added up in ascending id order from 0.0 one term at a time with
-    the diagonal included, is the largest, ties to the smallest id.
+    grid.start are bucketed by the number of levels whose phi they exceed
+    (FilterGrid.bucket), one row block at a time, and their ends are written
+    straight into bucket order. From the top level down each bucket joins
+    its links' ends in a union-find forest before the groups are recorded.
+    A row block none of whose entries leaves its island at a level copies
+    the level above's sums, which would add the same entries in the same
+    order. Every island's characteristic element is the member whose summed
+    correlation to the island, added up in ascending id order from 0.0 one
+    term at a time with the diagonal included, is the largest, ties to the
+    smallest id.
     """
     if C.size == 0:
         raise ValueError("cannot sweep an empty matrix")
@@ -166,26 +184,34 @@ def build_tree(C: CorrelationMatrix, grid: FilterGrid | None = None) -> IslandTr
     n = C.size
     values = sp.csr_matrix(C.values)
     values.sort_indices()  # in place, so a CSR C.values is left equal
-    ii, jj, vv = _edges(values, grid.start)
 
-    levels: list[float] = []
-    top = vv.max(initial=grid.start)
-    for t in range(MAX_LEVELS):
-        phi = grid.phi(t)
-        if phi >= 1.0:
-            break  # correlations of exactly 1 never erode within [0, 1)
-        levels.append(phi)
-        if phi >= top:
-            break  # no link survives: every island is a singleton
-
-    # A link of bucket b survives levels 0..b-1; links[cuts[t]:cuts[t + 1]]
-    # are those of bucket t + 1. _join's groups do not depend on their order.
-    bucket = np.searchsorted(levels, vv).astype(np.min_scalar_type(MAX_LEVELS))
-    del vv
-    cuts = np.cumsum(np.bincount(bucket, minlength=len(levels) + 1))
-    order = np.argsort(bucket, kind="stable")
-    ii, jj = ii[order], jj[order]
-    del bucket, order
+    # A link of bucket b survives levels 0..b-1. The first pass over the row
+    # blocks buckets their upper-triangle links above grid.start and counts
+    # the buckets; the second writes each link's ends into its bucket's
+    # range: links[cuts[t]:cuts[t + 1]] are those of bucket t + 1. _join's
+    # groups do not depend on the order within a bucket.
+    codes, counts = [], np.zeros(grid.size + 1, np.intp)
+    for lo, _, rows, cols, data in _blocks(values):
+        codes.append(grid.bucket(data[(rows + lo < cols) & (data > grid.start)]))
+        counts += np.bincount(codes[-1], minlength=counts.size)
+    # Up to the first phi at or above the largest link, or the last below 1.
+    top = np.flatnonzero(counts).max(initial=0)
+    levels = [grid.phi(t) for t in range(min(top + 1, grid.size))]
+    cuts = np.cumsum(counts)
+    fill = cuts - counts
+    ii = np.empty(cuts[-1], values.indices.dtype)
+    jj = np.empty(cuts[-1], values.indices.dtype)
+    for (lo, _, rows, cols, data), code in zip(_blocks(values), codes):
+        keep = (rows + lo < cols) & (data > grid.start)
+        # Each link goes to its bucket's next free slot: past the slots of
+        # earlier blocks, at its rank among this block's links of its bucket.
+        sizes = np.bincount(code, minlength=counts.size)
+        to = np.empty(code.size, np.intp)
+        to[np.argsort(code, kind="stable")] = np.arange(code.size)
+        to += (fill - np.cumsum(sizes) + sizes)[code]
+        ii[to], jj[to] = rows[keep] + lo, cols[keep]
+        fill += sizes
+    del codes
 
     # labels[t, r]: t * n + smallest rank of r's island at level t - 1; row 0: root.
     labels = np.zeros((len(levels) + 1, n), dtype=np.intp)
@@ -249,19 +275,6 @@ def _blocks(csr: sp.csr_matrix):
         hi = min(lo + BLOCK_ROWS, csr.shape[0])
         rows = np.repeat(np.arange(hi - lo, dtype=indices.dtype), np.diff(indptr[lo:hi + 1]))
         yield lo, hi, rows, indices[indptr[lo]:indptr[hi]], data[indptr[lo]:indptr[hi]]
-
-
-def _edges(csr: sp.csr_matrix, floor: float):
-    """Upper-triangle (row, col, value) arrays of a CSR with sorted indices,
-    off the diagonal, wherever the value exceeds floor."""
-    ii, jj, vv = [np.empty(0, np.int32)], [np.empty(0, np.int32)], [np.empty(0)]
-    for lo, _, rows, cols, data in _blocks(csr):
-        rows = rows + lo
-        keep = (rows < cols) & (data > floor)
-        ii.append(rows[keep])
-        jj.append(cols[keep])
-        vv.append(data[keep])
-    return np.concatenate(ii), np.concatenate(jj), np.concatenate(vv)
 
 
 def _join(root: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:

@@ -26,6 +26,11 @@ VIEWS: dict[str, tuple[str, str]] = {
     "tags-via-items": (TAG, ITEM),
 }
 
+#: Matrix rows per block: bounds the transient arrays of the product sort in
+#: _CosineRows and, in percolation.build_tree, of the link bucketing and the
+#: per-level gathers of the island sums.
+BLOCK_ROWS = 128
+
 DEFAULT_VIEW = {
     USER: "users-via-items",
     ITEM: "items-via-users",
@@ -212,7 +217,10 @@ def correlation_matrix(
     wanted = np.array(members, dtype=np.intp)
     cache = net._grids.get(view)
     if cache is None:
-        cache = net._grids[view] = _CosineRows(net.incidence[VIEWS[view]])
+        axis = VIEWS[view][1]
+        cache = net._grids[view] = _CosineRows(
+            net.incidence[kind, axis], net.incidence[axis, kind]
+        )
         values = cache._cosines(wanted, family=False)
     else:
         values = cache.block(wanted)
@@ -232,9 +240,9 @@ class _CosineRows:
     stay exact: two users with 6 items sharing 3 correlate exactly 0.5.
     """
 
-    def __init__(self, a: sp.csr_matrix) -> None:
+    def __init__(self, a: sp.csr_matrix, at: sp.csr_matrix) -> None:
         n = a.shape[0]
-        self.a = a
+        self.a, self.at = a, at  # at: a's transpose, the reverse incidence
         # G[m, m] added from 0.0 in ascending column order (a's rows are
         # ascending), as csr_matmat adds every G[i, j]: the product's bits.
         row = np.repeat(np.arange(n), np.diff(a.indptr))
@@ -267,22 +275,34 @@ class _CosineRows:
     def _cosines(self, new: np.ndarray, family: bool) -> sp.csr_matrix:
         """Cosines of the members new against the whole family, or against
         themselves, as CSR with ascending columns."""
-        rows = self.a[new]
-        left, gram = (self.a, self.gram) if family else (rows, self.gram[new])
-        # With every row in ascending column order, csr_matmat adds each
-        # G[i, j] over the shared columns in that order, whatever other rows
-        # are present, and G[i, j] and G[j, i] are equal. The product's CSC,
-        # counting-sorted, is the new rows' CSR.
-        grid = (left @ rows.T).tocsc().T
-        # The diagonal comes out exactly 1: sqrt(x * x) is x in IEEE 754
-        # floating point, barring overflow and underflow. Zero rows store
-        # nothing.
-        scale = np.repeat(self.gram[new], np.diff(grid.indptr))
-        scale *= gram[grid.indices]
-        np.sqrt(scale, out=scale)
-        grid.data /= scale
-        del scale
-        np.clip(grid.data, 0.0, 1.0, out=grid.data)
+        rows, own = self.a[new], self.gram[new]
+        right, gram = (self.at, self.gram) if family else (rows.T, own)
+        # With every row of rows in ascending column order, csr_matmat adds
+        # each G[i, j] over the shared columns in that order, whatever other
+        # rows are present, and G[i, j] and G[j, i] are equal. It leaves each
+        # row's columns unordered, so every block of rows is counting-sorted
+        # (to CSC and back) and scaled in place: the product is the result.
+        grid = rows @ right
+        del rows, right  # the product alone is held while it is sorted
+        indptr, indices, data = grid.indptr, grid.indices, grid.data
+        for lo in range(0, len(new), BLOCK_ROWS):
+            hi = min(lo + BLOCK_ROWS, len(new))
+            p, q = indptr[lo], indptr[hi]
+            cols, vals = indices[p:q], data[p:q]
+            block = sp.csr_matrix(
+                (vals, cols, indptr[lo:hi + 1] - p), shape=(hi - lo, grid.shape[1])
+            ).tocsc().tocsr()
+            cols[:], vals[:] = block.indices, block.data
+            del block
+            # The diagonal comes out exactly 1: sqrt(x * x) is x in IEEE 754
+            # floating point, barring overflow and underflow. Zero rows store
+            # nothing.
+            scale = np.repeat(own[lo:hi], np.diff(indptr[lo:hi + 1]))
+            scale *= gram[cols]
+            np.sqrt(scale, out=scale)
+            vals /= scale
+            np.clip(vals, 0.0, 1.0, out=vals)
+        grid.has_sorted_indices = True
         return grid
 
 

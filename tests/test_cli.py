@@ -116,6 +116,27 @@ def test_two_outputs_naming_one_file_is_usage_error_before_input(tmp_path, tripl
     assert sorted(p.name for p in tmp_path.iterdir()) == ["triples.tsv"]
 
 
+@pytest.mark.parametrize("argv", [
+    ["tree", "--input", "in.txt", "--out-json", "in.txt", "--out-dot", "t.dot"],
+    ["tree", "--input", "in.txt", "--out-json", "t.json", "--out-dot", "./in.txt"],
+    ["diversity", "ann", "--input", "in.txt", "--out-dot", "in.txt"],
+    ["diversity", "ann", "--input", "./in.txt", "--out-dot", "d.dot", "--out-json", "in.txt"],
+    ["synth", "--config", "in.txt", "--out", "in.txt"],
+    ["synth", "--config", "in.txt", "--out", "p.tsv", "--truth-out", "./in.txt"],
+], ids=["tree-json", "tree-dot", "diversity-dot", "diversity-json", "synth-out",
+        "synth-truth"])
+def test_an_output_naming_the_input_is_usage_error_before_input(tmp_path, capsys,
+                                                                 monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    source = tmp_path / "in.txt"
+    source.write_text(SYNTH_CONFIG if argv[0] == "synth" else TRIPLES, encoding="utf-8")
+    before = source.read_bytes()
+    assert main(argv) == EXIT_USAGE
+    assert f"an output names the input file: {source}" in capsys.readouterr().err
+    assert source.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["in.txt"]
+
+
 @pytest.mark.parametrize("strict", [[], ["--strict"]], ids=["lenient", "strict"])
 def test_field_over_the_csv_limit_is_data_error(tmp_path, capsys, strict):
     # csv.reader cannot tokenize the line, so no mode can skip it

@@ -322,6 +322,67 @@ def test_ties_at_exact_one_stop_at_grid_end():
     assert len(last) == 1 and last[0].size == 2
 
 
+def levels_by_search(grid, top):
+    """The sweep's levels found one phi at a time: up to the first phi at or
+    above top, the largest link, or the last phi below 1."""
+    levels = []
+    for t in range(tagnet.percolation.MAX_LEVELS):
+        phi = grid.phi(t)
+        if phi >= 1.0:
+            break
+        levels.append(phi)
+        if phi >= top:
+            break
+    return levels
+
+
+def valid_grid(start, step):
+    try:
+        return FilterGrid(start, step)
+    except ValueError:
+        return None
+
+
+# Steps that binary fractions do not hold exactly (0.05, 0.07), and 0.001,
+# which gives 1,000 levels.
+bucket_grids = st.builds(
+    valid_grid,
+    start=st.one_of(st.sampled_from([0.0, 0.05, 0.1, 0.3, 0.5, 0.95]),
+                    st.floats(0.0, 1.0, exclude_max=True)),
+    step=st.one_of(st.sampled_from([0.001, 0.05, 0.07, 0.1, 0.25, 0.3, 1.0]),
+                   st.floats(0.001, 2.0)),
+).filter(lambda grid: grid is not None)
+
+
+@settings(max_examples=60)
+@given(grid=bucket_grids, spread=st.lists(st.floats(0.0, 1.0), max_size=20),
+       pick=st.integers(0, 10**6))
+@example(grid=FilterGrid(0.0, 0.001), spread=[0.5], pick=999)
+@example(grid=FilterGrid(0.0, 0.05), spread=[], pick=0)
+@example(grid=FilterGrid(0.0, 0.07), spread=[0.49, 0.7], pick=7)
+@example(grid=FilterGrid(0.3, 0.05), spread=[1.0], pick=3)
+@example(grid=FilterGrid(0.1, 0.07), spread=[], pick=5)
+def test_bucket_is_searchsorted_over_the_levels_below_one(grid, spread, pick):
+    levels = np.array([grid.phi(t) for t in range(grid.size)])
+    assert levels[-1] < 1.0 <= grid.phi(grid.size)
+    # Each level and one ulp either side, start, 1 and its neighbours, values
+    # in (start, 1], and one above every threshold below 1.
+    values = np.concatenate([
+        levels, np.nextafter(levels, -1.0), np.nextafter(levels, 2.0),
+        [grid.start, 1.0, np.nextafter(1.0, 0.0), np.nextafter(1.0, 2.0), 2.0],
+        [grid.start + x * (1.0 - grid.start) for x in spread],
+    ])
+    assert np.array_equal(grid.bucket(values), np.searchsorted(levels, values))
+    # The sweep stops where it did when it searched for its levels, with one
+    # link of the picked value above start, or with none.
+    links = values[(values > grid.start) & (values <= 1.0)]
+    top = links[pick % links.size]
+    C = CorrelationMatrix.from_dense([[1.0, top], [top, 1.0]])
+    assert build_tree(C, grid).levels == levels_by_search(grid, top)
+    C = CorrelationMatrix.from_dense(np.eye(2))
+    assert build_tree(C, grid).levels == levels_by_search(grid, grid.start) == [grid.start]
+
+
 # -- properties of the sweep --------------------------------------------------
 
 # 0.1 + 0.2 + 0.3 rounds differently in another order, so these also check
