@@ -14,9 +14,9 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
-from itertools import chain, groupby
+from itertools import groupby
 from operator import add, itemgetter
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 import scipy.sparse as sp
@@ -179,15 +179,8 @@ class TripartiteNetwork:
     def __init__(
         self, users: EntityRegistry, items: EntityRegistry, tags: EntityRegistry, pairs
     ) -> None:
-        """pairs maps each owned (user_id, item_id) to its tag ids, or is the
-        arrays (pair_users, pair_items, tag counts, link_tags)."""
-        if isinstance(pairs, Mapping):
-            k = np.fromiter(map(len, pairs.values()), np.int32, len(pairs))
-            owned = np.fromiter(chain.from_iterable(pairs), np.int32, 2 * len(pairs))
-            flat = np.fromiter(
-                chain.from_iterable(pairs.values()), np.int32, int(k.sum())
-            )
-            pairs = owned[0::2], owned[1::2], k, flat
+        """pairs is the int32 arrays (pair_users, pair_items, tag counts,
+        link_tags), one entry per owned pair and link_tags grouped by pair."""
         self.users, self.items, self.tags = users, items, tags
         self.pair_users, self.pair_items, k, self.link_tags = pairs
         self.pair_ptr = np.concatenate(([0], np.cumsum(k, dtype=np.int64)))

@@ -45,8 +45,8 @@ class FilterGrid:
     def __post_init__(self) -> None:
         if not 0.0 <= self.start < 1.0:
             raise ValueError("start must lie in [0, 1)")
-        if not self.step > 0.0:
-            raise ValueError("step must be positive")
+        if not 0.0 < self.step < np.inf:
+            raise ValueError("step must be positive and finite")
         if self.phi(MAX_LEVELS) < 1.0:
             raise ValueError(
                 f"step {self.step} gives more than {MAX_LEVELS} levels below phi = 1"

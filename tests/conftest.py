@@ -1,3 +1,4 @@
+import numpy as np
 from hypothesis import settings
 
 from tagnet import TaggingEvent, build_network
@@ -13,3 +14,12 @@ def ev(user, item, *tags):
 
 def net_of(*events):
     return build_network(list(events))
+
+
+def pair_arrays(pairs):
+    """TripartiteNetwork's pair arrays for {(user_id, item_id): tag ids}, in
+    the mapping's order."""
+    owned = np.array(list(pairs), np.int32).reshape(-1, 2)
+    k = np.array([len(group) for group in pairs.values()], np.int32)
+    tags = np.array([t for group in pairs.values() for t in group], np.int32)
+    return owned[:, 0], owned[:, 1], k, tags

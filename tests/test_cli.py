@@ -34,7 +34,7 @@ def test_tree_runs_end_to_end(tmp_path, triples):
 
 
 @pytest.mark.parametrize("grid", [["--phi-step", "0"], ["--phi-step", "1e-4"],
-                                  ["--phi-start", "1.0"]])
+                                  ["--phi-step", "inf"], ["--phi-start", "1.0"]])
 def test_bad_grid_is_usage_error_before_ingest(tmp_path, capsys, grid):
     # The input does not exist: reading it would be a data error (exit 2).
     missing = tmp_path / "missing.tsv"

@@ -30,7 +30,7 @@ from tagnet import (
 
 from tagnet.diversity import diversity
 
-from conftest import ev, net_of
+from conftest import ev, net_of, pair_arrays
 
 
 def spec_of(counts, owner=0):
@@ -69,7 +69,7 @@ def test_userless_user_has_empty_spectrum():
     users = EntityRegistry("user", ["ghost"], {"ghost": 0})
     items = EntityRegistry("item", [], {})
     tags = EntityRegistry("tag", [], {})
-    net = TripartiteNetwork(users, items, tags, {})
+    net = TripartiteNetwork(users, items, tags, pair_arrays({}))
     spec = tag_spectrum(net, 0)
     assert spec.counts == {} and spec.total == 0
 

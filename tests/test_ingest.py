@@ -17,6 +17,8 @@ import tagnet.io as tio
 from tagnet import DataError, TaggingEvent, build_network, read_triples
 from tagnet.model import NORMALIZERS, EntityRegistry, TripartiteNetwork
 
+from conftest import pair_arrays
+
 
 # -- line-by-line reference ---------------------------------------------------
 
@@ -69,7 +71,7 @@ def reference_network(events, norm, strict, warnings):
         warnings.append(f"skipping {message}")
     registries = [EntityRegistry(kind, list(names), dict(names))
                   for kind, names in (("user", users), ("item", items), ("tag", tags))]
-    return TripartiteNetwork(*registries, {key: tuple(g) for key, g in pairs.items()})
+    return TripartiteNetwork(*registries, pair_arrays(pairs))
 
 
 @contextmanager

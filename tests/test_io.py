@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import os
 
@@ -7,6 +6,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+import tagnet.cli
 import tagnet.io
 from tagnet import (
     ActivityReport,
@@ -14,18 +14,15 @@ from tagnet import (
     DataError,
     FilterGrid,
     build_tree,
-    correlation_matrix,
     island_activity,
-    read_matrix,
     read_triples,
-    write_matrix,
     write_tree_dot,
     write_tree_json,
     write_triples,
 )
 from tagnet.diversity import TagSpectrum
 
-from conftest import ev, net_of
+from conftest import ev
 
 
 def write(tmp_path, text, name="data.tsv"):
@@ -118,35 +115,6 @@ def test_write_then_read_roundtrip(tmp_path):
     assert {(e.user, e.item, e.tags) for e in back} == {
         ("u1", "i1", ("a", "b")), ("u2", "i2", ("c",)),
     }
-
-
-# -- write_matrix -------------------------------------------------------------
-
-def test_one_by_one_matrix_writes_two_lines(tmp_path):
-    C = CorrelationMatrix.from_dense([[1.0]], names=["solo"])
-    path = tmp_path / "m.csv"
-    write_matrix(C, path)
-    lines = path.read_text().splitlines()
-    assert lines == [",solo", "solo,1.000000"]
-
-
-def test_matrix_roundtrip_within_tolerance(tmp_path):
-    values = np.array([[1.0, 0.1234567], [0.1234567, 1.0]])
-    C = CorrelationMatrix.from_dense(values, names=["a", "b"])
-    path = tmp_path / "m.csv"
-    write_matrix(C, path)
-    names, back = read_matrix(path)
-    assert names == ["a", "b"]
-    assert np.all(np.abs(back - values) < 5e-7)
-    assert np.array_equal(back, back.T)
-
-
-def test_matrix_bytes_stable_across_runs(tmp_path):
-    C = CorrelationMatrix.from_dense([[1.0, 0.5], [0.5, 1.0]])
-    p1, p2 = tmp_path / "m1.csv", tmp_path / "m2.csv"
-    write_matrix(C, p1)
-    write_matrix(C, p2)
-    assert p1.read_bytes() == p2.read_bytes()
 
 
 # -- tree exports -------------------------------------------------------------
@@ -289,11 +257,23 @@ def test_dot_escapes_label_quotes(tmp_path):
 # Each writer creates its output as a new file, so a stale copy is never
 # truncated in place; paths that are not regular files are written through.
 
+PLANTED = ("communities = 2\ntags_per_community = 3\nusers_per_community = 2\n"
+           "items_per_community = 3\nseed = 5\n")
+
+
+def write_truth(path):
+    """tagnet synth's --truth-out file, from a config beside path."""
+    config = path.parent / "planted.cfg"
+    config.write_text(PLANTED, encoding="utf-8")
+    argv = ["synth", "--config", str(config), "--out", str(path.parent / "planted.tsv"),
+            "--truth-out", str(path)]
+    assert tagnet.cli.main(argv) == 0
+
+
 WRITERS = [
     pytest.param(lambda path: write_tree_json(_two_block_tree(), path), id="tree-json"),
     pytest.param(lambda path: write_tree_dot(_two_block_tree(), path), id="tree-dot"),
-    pytest.param(lambda path: write_matrix(
-        CorrelationMatrix.from_dense(np.eye(2), family="tag"), path), id="matrix"),
+    pytest.param(write_truth, id="truth"),
     pytest.param(lambda path: write_triples([ev("u", "i", "a", "b")], path), id="triples"),
 ]
 STALE = "stale line, longer than every output\n" * 100
@@ -337,51 +317,6 @@ def test_output_that_cannot_be_unlinked_is_written_in_place(tmp_path, monkeypatc
     monkeypatch.setattr(os, "unlink", refuse)
     write(path)
     assert path.read_bytes() == link.read_bytes() == expected
-
-
-# -- read_matrix input checks and write_matrix storage -------------------------
-
-@pytest.mark.parametrize("text, line", [
-    (",a,b\na,1,0.5\nb,0.5\n", 3),
-    (",a,b\na,1,0.5\nb,0.5,1,0\n", 3),
-    (",a,b\na,1,x\nb,0.5,1\n", 2),
-    (",a,b\na,1,0.5\nc,0.5,1\n", 3),
-    (",a,b\nb,0.5,1\na,1,0.5\n", 2),
-    (",a,b\na,1,0.5\nb,0.5,1\nc,0,0\n", 4),
-    (",a,b\na,1,0.5\n", 3),
-], ids=["short-row", "long-row", "non-numeric", "renamed-row", "swapped-rows",
-        "extra-row", "missing-row"])
-def test_malformed_matrix_is_data_error_at_its_line(tmp_path, text, line):
-    path = write(tmp_path, text, name="m.csv")
-    with pytest.raises(DataError, match=f"m.csv:{line}: "):
-        read_matrix(path)
-
-
-@pytest.mark.parametrize("text, where", [
-    (",a,b\na,1,nan\nb,inf,1\n", "m.csv:2: non-finite value in row 'a'"),
-    (",a,b\na,1,0.5\nb,-inf,1\n", "m.csv:3: non-finite value in row 'b'"),
-    (",a,b\na,NaN,0.5\nb,0.5,1\n", "m.csv:2: non-finite value in row 'a'"),
-    (",a,b\na,1,0.5\nb,0.5,Infinity\n", "m.csv:3: non-finite value in row 'b'"),
-    (",a,b\na,1,0.5\nb,0.4,1\n", "m.csv:3: 'b','a' is asymmetric"),
-    (",a,b,c\na,1,0,0.2\nb,0,1,0.3\nc,0.2,0.4,1\n", "m.csv:4: 'c','b' is asymmetric"),
-], ids=["nan-and-inf", "minus-inf", "nan-on-diagonal", "infinity", "asymmetric",
-        "asymmetric-later-column"])
-def test_nonfinite_or_asymmetric_matrix_is_data_error_at_its_line(tmp_path, text, where):
-    path = write(tmp_path, text, name="m.csv")
-    with pytest.raises(DataError, match=f"{where}$"):
-        read_matrix(path)
-
-
-def test_matrix_bytes_same_dense_or_sparse(tmp_path):
-    net = net_of(ev("a", "x", "T", "U"), ev("b", "x", "T"), ev("b", "y", "T", "V"),
-                 ev("c", "y", "V", "W"), ev("c", "z", "X"), ev("d", "w", "Y"))
-    sparse = correlation_matrix(net, "tags")
-    dense = dataclasses.replace(sparse, values=sparse.dense())
-    assert dense.is_dense and not sparse.is_dense
-    assert 0 < sparse.values.nnz < sparse.size ** 2
-    write_matrix(dense, tmp_path / "dense.csv")
-    write_matrix(sparse, tmp_path / "sparse.csv")
-    assert (tmp_path / "dense.csv").read_bytes() == (tmp_path / "sparse.csv").read_bytes()
 
 
 # -- the JSON tree writer's bytes ----------------------------------------------

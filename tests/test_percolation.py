@@ -297,6 +297,8 @@ def test_grid_validation():
         FilterGrid(step=0.0)
     with pytest.raises(ValueError):
         FilterGrid(start=-0.2)
+    with pytest.raises(ValueError):
+        FilterGrid(0.0, math.inf)
 
 
 def test_grid_level_cap():

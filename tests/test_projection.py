@@ -30,7 +30,7 @@ from tagnet import (
     user_item_signature,
 )
 
-from conftest import ev, net_of
+from conftest import ev, net_of, pair_arrays
 
 
 # -- independent oracle -------------------------------------------------------
@@ -117,7 +117,7 @@ def test_unowned_entities_give_empty_signatures():
     users = EntityRegistry("user", ["ghost"], {"ghost": 0})
     items = EntityRegistry("item", ["dust"], {"dust": 0})
     tags = EntityRegistry("tag", ["x"], {"x": 0})
-    net = TripartiteNetwork(users, items, tags, {})
+    net = TripartiteNetwork(users, items, tags, pair_arrays({}))
     assert user_item_signature(net, 0).is_empty
     assert signature_for_view(net, "items-via-users", 0).is_empty
     assert signature_for_view(net, "items-via-tags", 0).is_empty
@@ -239,7 +239,7 @@ def test_zero_signature_members_are_flagged():
     users = EntityRegistry("user", ["a", "ghost"], {"a": 0, "ghost": 1})
     items = EntityRegistry("item", ["x"], {"x": 0})
     tags = EntityRegistry("tag", ["t"], {"t": 0})
-    net = TripartiteNetwork(users, items, tags, {(0, 0): (0,)})
+    net = TripartiteNetwork(users, items, tags, pair_arrays({(0, 0): (0,)}))
     C = correlation_matrix(net, "users")
     assert C.zero_members == {1}
     assert C.value(1, 1) == 0.0
