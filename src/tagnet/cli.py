@@ -129,17 +129,20 @@ def _build_parser() -> _Parser:
 
 
 def _check_outputs(source, *outputs) -> None:
-    """Refuse, before any input is read, an output that names the source
-    file or another output (a usage error), or an output in no directory or
-    that is one (a data error). Paths are compared resolved; hard links to
-    one file are not detected."""
-    paths = [Path(p).resolve() for p in outputs if p]
+    """Refuse, before any input is read, an empty output path or one that
+    names the source file or another output (a usage error), or an output in
+    no directory or that is one (a data error). Paths are compared resolved;
+    hard links to one file are not detected."""
+    outputs = [p for p in outputs if p is not None]  # None: an option not given
+    if "" in outputs:
+        raise UsageError("an output path is empty")
+    paths = [Path(p).resolve() for p in outputs]
     if len(set(paths)) < len(paths):
         raise UsageError(f"two outputs name one file: {paths[-1]}")
     source = Path(source).resolve()
     if source in paths:
         raise UsageError(f"an output names the input file: {source}")
-    for path in map(Path, filter(None, outputs)):
+    for path in map(Path, outputs):
         if not path.parent.is_dir():
             raise DataError(f"cannot write {path}: no directory {path.parent}")
         if path.is_dir():
@@ -212,7 +215,7 @@ def cmd_diversity(args) -> int:
     write_tree_dot(
         tree, args.out_dot, report=report, include_singletons=args.include_singletons
     )
-    if args.out_json:
+    if args.out_json is not None:
         write_tree_json(tree, args.out_json, report=report)
     return EXIT_OK
 
@@ -244,7 +247,7 @@ def cmd_synth(args) -> int:
         config = dataclasses.replace(config, seed=args.seed)
     events, truth = generate(config)
     write_triples(events, args.out, fmt=args.format)
-    if args.truth_out:
+    if args.truth_out is not None:
         with _create(args.truth_out) as fh:
             for tag in sorted(truth):
                 fh.write(f"{tag}\t{truth[tag]}\n")

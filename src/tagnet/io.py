@@ -8,7 +8,7 @@ import logging
 import math
 import os
 import stat
-from itertools import compress, islice
+from itertools import islice
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Iterable
@@ -55,16 +55,15 @@ def read_triples(path, fmt: str = "tsv", strict: bool = False) -> Triples:
         with open(path, encoding="utf-8-sig", newline="") as fh:
             reader = csv.reader(fh, delimiter=delimiter)
             while rows := list(islice(reader, CHUNK_ROWS)):
-                lengths = np.fromiter(map(len, rows), np.intp, len(rows))
-                full = lengths == 3
-                codes = np.zeros((3, len(rows)), np.int32)  # code 0: empty field
-                for column, fields in zip(codes, zip(*compress(rows, full.tolist()))):
-                    column[full] = np.fromiter(
-                        map(codes_of.__getitem__, fields), np.int32, len(fields)
-                    )
-                blank = lengths == 0
+                n = len(rows)
+                lengths = np.fromiter(map(len, rows), np.intp, n)
+                full, blank = lengths == 3, lengths == 0
                 for k in np.flatnonzero(lengths == 1).tolist():
                     blank[k] = not rows[k][0].strip()
+                # A row without three fields is coded as three empty ones (code 0).
+                fields = rows if full.all() else [r if len(r) == 3 else ("", "", "") for r in rows]
+                codes = np.array([np.fromiter(map(codes_of.__getitem__, column), np.int32, n)
+                                  for column in zip(*fields)])
                 keep = full & codes.all(axis=0)
                 bad = ~(keep | blank)
                 if header and not blank.all():  # the first non-blank row

@@ -12,6 +12,7 @@ in the last bit from the exact sum rounded once.
 from __future__ import annotations
 
 import logging
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
 from itertools import groupby
@@ -129,11 +130,14 @@ class Triples:
         return cls(list(index), users, items, tags, events_)
 
     def grouped(self) -> list[np.ndarray]:
-        """[event, user, item, tag] columns, rows stably sorted by event."""
+        """[event, user, item, tag] columns, rows stably sorted by event. With
+        events None, each run of adjacent rows of one pair is numbered once,
+        and build_network numbers the pairs from these event ids."""
         events = self.events
         if events is None:
             pairs = self.users.astype(np.int64) * len(self.names) + self.items
-            _, events, _ = _first_seen(pairs)
+            runs = np.flatnonzero(np.diff(pairs, prepend=-1))
+            events = np.repeat(_first_seen(pairs[runs])[1], np.diff(runs, append=len(pairs)))
         order = np.argsort(events, kind="stable")
         return [column[order] for column in (events, self.users, self.items, self.tags)]
 
@@ -171,9 +175,10 @@ class TripartiteNetwork:
     pair of k tags. ownership, the set of owned (user_id, item_id) pairs,
     is built on first use. incidence maps a (row kind, column kind) pair to
     B, B^T, W or W^T as scipy CSR matrices with int32 indices, ascending in
-    every row; a matrix of B's structure holds pair indices, so a user's
-    pairs are one row slice. projection.correlation_matrix caches full
-    cosine rows per view in _grids.
+    every row, each built on its first lookup: a tag view never builds B.
+    A matrix of B's structure holds pair indices, so a user's pairs are one
+    row slice. projection.correlation_matrix caches full cosine rows per
+    view in _grids.
     """
 
     def __init__(
@@ -182,32 +187,36 @@ class TripartiteNetwork:
         """pairs is the int32 arrays (pair_users, pair_items, tag counts,
         link_tags), one entry per owned pair and link_tags grouped by pair."""
         self.users, self.items, self.tags = users, items, tags
-        self.pair_users, self.pair_items, k, self.link_tags = pairs
-        self.pair_ptr = np.concatenate(([0], np.cumsum(k, dtype=np.int64)))
-        n_pairs = len(k)
-        self._pair_at = sp.csr_matrix(
-            (np.arange(n_pairs, dtype=np.int32), (self.pair_users, self.pair_items)),
-            shape=(len(users), len(items)),
-        )
-        b = sp.csr_matrix(
-            (np.ones(n_pairs), self._pair_at.indices, self._pair_at.indptr),
-            shape=self._pair_at.shape,
-        )
-        # Converting (data, (row, col)) input sums duplicate entries.
-        w = sp.csr_matrix(
-            (np.repeat(1.0 / k, k), (np.repeat(self.pair_items, k), self.link_tags)),
-            shape=(len(items), len(tags)),
-        )
-        self.incidence: dict[tuple[str, str], sp.csr_matrix] = {
-            (USER, ITEM): b,
-            (ITEM, USER): b.T.tocsr(),
-            (ITEM, TAG): w,
-            (TAG, ITEM): w.T.tocsr(),
-        }
+        self.pair_users, self.pair_items, self._k, self.link_tags = pairs
+        self.pair_ptr = np.concatenate(([0], np.cumsum(self._k, dtype=np.int64)))
         #: links per tag id
         self.tag_link_counts = np.bincount(self.link_tags, minlength=len(tags))
         #: view -> projection._CosineRows
         self._grids: dict[str, object] = {}
+
+    @property
+    def incidence(self) -> Mapping[tuple[str, str], sp.csr_matrix]:
+        return _Incidence(self)
+
+    @cached_property
+    def _pair_at(self) -> sp.csr_matrix:
+        ids, shape = np.arange(len(self._k), dtype=np.int32), (len(self.users), len(self.items))
+        return sp.csr_matrix((ids, (self.pair_users, self.pair_items)), shape=shape)
+
+    @cached_property
+    def _b(self) -> sp.csr_matrix:
+        at = self._pair_at
+        return sp.csr_matrix((np.ones(len(self._k)), at.indices, at.indptr), shape=at.shape)
+
+    @cached_property
+    def _w(self) -> sp.csr_matrix:
+        # Converting (data, (row, col)) input sums duplicate entries.
+        k, shape = self._k, (len(self.items), len(self.tags))
+        rows = np.repeat(self.pair_items, k)
+        return sp.csr_matrix((np.repeat(1.0 / k, k), (rows, self.link_tags)), shape=shape)
+
+    _bt = cached_property(lambda self: self._b.T.tocsr())
+    _wt = cached_property(lambda self: self._w.T.tocsr())
 
     @cached_property
     def ownership(self) -> frozenset[tuple[int, int]]:
@@ -244,6 +253,24 @@ class TripartiteNetwork:
             yield uid, iid, tuple(tags[ptr[p]:ptr[p + 1]])
 
 
+@dataclass(eq=False)
+class _Incidence(Mapping):
+    """TripartiteNetwork.incidence: a lookup reads the network attribute that
+    builds its matrix on first use and keeps it."""
+
+    net: TripartiteNetwork
+    ATTRIBUTE = {(USER, ITEM): "_b", (ITEM, USER): "_bt", (ITEM, TAG): "_w", (TAG, ITEM): "_wt"}
+
+    def __getitem__(self, key: tuple[str, str]) -> sp.csr_matrix:
+        return getattr(self.net, self.ATTRIBUTE[key])
+
+    def __iter__(self) -> Iterator[tuple[str, str]]:
+        return iter(self.ATTRIBUTE)
+
+    def __len__(self) -> int:
+        return len(self.ATTRIBUTE)
+
+
 def build_network(
     events: Triples | Iterable[TaggingEvent],
     normalize: str | Callable[[str], str] = "default",
@@ -257,7 +284,9 @@ def build_network(
     whose tag set is empty after normalization are rejected with a
     diagnostic; in strict mode any rejection aborts the build. Pairs are
     kept in first-seen order with their tags in first-use order; users,
-    items and tags are numbered by first use among kept events.
+    items and tags are numbered by first use among kept events. Pairs are
+    numbered once: for read_triples input, from the event ids that
+    Triples.grouped sorts by. The incidence matrices are built on first use.
     """
     if isinstance(normalize, str):
         try:
@@ -271,7 +300,7 @@ def build_network(
     names, (event, user, item, tag) = rows.names, rows.grouped()
     tag_names: dict[str, int] = {}
     lookup = np.full(len(names) + 1, -1)  # the last entry serves tag -1
-    for code in np.unique(tag[tag >= 0]).tolist():
+    for code in np.flatnonzero(np.bincount(tag + 1, minlength=1)[1:]).tolist():
         if name := norm(names[code]):
             lookup[code] = tag_names.setdefault(name, len(tag_names))
     tag = lookup[tag]
@@ -289,10 +318,20 @@ def build_network(
     user_codes, uid, _ = _first_seen(user[keep], len(names))
     item_codes, iid, _ = _first_seen(item[keep], len(names))
     tag_codes, tid, _ = _first_seen(tag[keep], len(tag_names))
-    _, pair, pair_rows = _first_seen(uid * len(item_codes) + iid)
-    # the first use of each (pair, tag) link, grouped by pair
-    uses = _first_seen(pair * len(tag_codes) + tid)[2]
-    links = uses[np.argsort(pair[uses], kind="stable")]
+    if rows.events is None:  # each event is one pair: number the kept events
+        opens = np.diff(event[keep], prepend=-1) != 0
+        pair, pair_rows = np.cumsum(opens) - 1, np.flatnonzero(opens)
+    else:  # two events can share a pair
+        _, pair, pair_rows = _first_seen(uid * len(item_codes) + iid)
+    # Each (pair, tag) link's first use, by one stable sort of the pair-major
+    # key; row order groups them by pair unless two events share one.
+    link = pair * len(tag_codes) + tid
+    order = np.argsort(link, kind="stable")
+    repeat = np.zeros(len(link), bool)
+    repeat[order[1:]] = link[order[1:]] == link[order[:-1]]
+    links = np.flatnonzero(~repeat)
+    if rows.events is not None:
+        links = links[np.argsort(pair[links], kind="stable")]
     tag_list = list(tag_names)
     return TripartiteNetwork(
         _registry(USER, [names[c] for c in user_codes.tolist()]),

@@ -117,6 +117,28 @@ def test_two_outputs_naming_one_file_is_usage_error_before_input(tmp_path, tripl
 
 
 @pytest.mark.parametrize("argv", [
+    ["tree", "--input", "triples.tsv", "--out-json", "", "--out-dot", "t.dot"],
+    ["tree", "--input", "triples.tsv", "--out-json", "t.json", "--out-dot", ""],
+    ["diversity", "ann", "--input", "triples.tsv", "--out-dot", ""],
+    ["diversity", "ann", "--input", "triples.tsv", "--out-dot", "d.dot", "--out-json", ""],
+    ["synth", "--config", "planted.cfg", "--out", ""],
+    ["synth", "--config", "planted.cfg", "--out", "p.tsv", "--truth-out", ""],
+], ids=["tree-json", "tree-dot", "diversity-dot", "diversity-json", "synth-out",
+        "synth-truth"])
+def test_an_empty_output_path_is_usage_error_before_input(tmp_path, triples, capsys,
+                                                          monkeypatch, argv):
+    def read(*args, **kwargs):
+        raise AssertionError("an input was read before the outputs were checked")
+
+    monkeypatch.setattr(tagnet.cli, "read_triples", read)
+    monkeypatch.setattr(tagnet.cli, "load_config", read)
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == EXIT_USAGE
+    assert "an output path is empty" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["triples.tsv"]
+
+
+@pytest.mark.parametrize("argv", [
     ["tree", "--input", "in.txt", "--out-json", "in.txt", "--out-dot", "t.dot"],
     ["tree", "--input", "in.txt", "--out-json", "t.json", "--out-dot", "./in.txt"],
     ["diversity", "ann", "--input", "in.txt", "--out-dot", "in.txt"],

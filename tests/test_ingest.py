@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import tagnet.io as tio
@@ -92,9 +92,12 @@ def assert_same_network(net, ref):
         assert getattr(net, kind).names == getattr(ref, kind).names
         assert getattr(net, kind).indices == getattr(ref, kind).indices
     assert list(net.iter_pairs()) == list(ref.iter_pairs())
-    assert net.incidence.keys() == ref.incidence.keys()
-    for key, m in net.incidence.items():
-        r = ref.incidence[key]
+    # Each key looked up on both sides: a mapping that builds its matrices on
+    # first use may hold none yet.
+    keys = [("user", "item"), ("item", "user"), ("item", "tag"), ("tag", "item")]
+    assert list(net.incidence.keys()) == list(ref.incidence.keys()) == keys
+    for key in keys:
+        m, r = net.incidence[key], ref.incidence[key]
         assert m.shape == r.shape
         assert np.array_equal(m.indptr, r.indptr) and np.array_equal(m.indices, r.indices)
         assert np.array_equal(m.data, r.data)
@@ -151,6 +154,9 @@ def messy_files(draw):
     strict=st.booleans(),
     chunk=st.sampled_from([1, 2, 3, tio.CHUNK_ROWS]),
 )
+# Only well-formed lines, in one chunk, with the lines of pair (u1, i1) apart.
+@example(data=("tsv", "u1\ti1\tt1\nu2\ti2\tt2\nu1\ti1\tt3\nu2\ti1\tt1\n"),
+         normalize="default", strict=False, chunk=tio.CHUNK_ROWS)
 def test_columnar_ingest_matches_line_by_line_reference(data, normalize, strict, chunk):
     fmt, text = data
     norm = NORMALIZERS.get(normalize, normalize)
@@ -195,6 +201,10 @@ def test_columnar_ingest_matches_line_by_line_reference(data, normalize, strict,
     ),
     normalize=st.sampled_from(["default", "exact", drop_x]),
 )
+# Pair (a, x) is rejected at its first event and kept at its second, so it is
+# numbered after (b, y): users ["b", "a"], pairs (0, 0, (0,)) and (1, 1, (1,)).
+@example(events=[TaggingEvent("a", "x", ("",)), TaggingEvent("b", "y", ("t",)),
+                 TaggingEvent("a", "x", ("u",))], normalize="default")
 def test_event_stream_matches_reference_with_rejections(events, normalize):
     norm = NORMALIZERS.get(normalize, normalize)
     expected_warnings = []

@@ -1,12 +1,15 @@
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tagnet import DataError, TaggingEvent, build_network, degree_stats
+from tagnet import (DataError, TaggingEvent, build_network, correlation_matrix,
+                    degree_stats, read_triples)
 
 from conftest import ev, net_of
 
@@ -185,6 +188,56 @@ def test_incidence_matrices_hold_ownership_and_weight_sums():
     for m in net.incidence.values():
         assert m.indices.dtype == m.indptr.dtype == np.int32
         assert m.has_sorted_indices
+
+
+GOLDEN = Path(__file__).parent / "golden" / "triples.tsv"
+MATRICES = {"user": {"_pair_at", "_b", "_bt"}, "tag": {"_w", "_wt"}}
+
+
+def eager_incidence(net):
+    """B, B^T, W and W^T built as the constructor once built them, eagerly."""
+    k = np.diff(net.pair_ptr)
+    pair_at = sp.csr_matrix(
+        (np.arange(len(k), dtype=np.int32), (net.pair_users, net.pair_items)),
+        shape=(len(net.users), len(net.items)))
+    b = sp.csr_matrix((np.ones(len(k)), pair_at.indices, pair_at.indptr), shape=pair_at.shape)
+    w = sp.csr_matrix((np.repeat(1.0 / k, k), (np.repeat(net.pair_items, k), net.link_tags)),
+                      shape=(len(net.items), len(net.tags)))
+    return {("user", "item"): b, ("item", "user"): b.T.tocsr(),
+            ("item", "tag"): w, ("tag", "item"): w.T.tocsr()}
+
+
+@pytest.mark.parametrize("kind, other", [("tag", "user"), ("user", "tag")])
+def test_a_view_builds_only_its_own_incidence_matrices(kind, other):
+    net = build_network(read_triples(GOLDEN))
+    assert not (MATRICES["user"] | MATRICES["tag"]) & vars(net).keys()
+    correlation_matrix(net, kind)
+    assert MATRICES[kind] <= vars(net).keys()
+    assert not MATRICES[other] & vars(net).keys()
+
+
+def many_weights():
+    """A network whose W entries each add many 1/k weights, so the order of
+    the additions shows in their last bits."""
+    rng = random.Random(5)
+    tags = [f"t{k}" for k in range(6)]
+    return build_network([ev(f"u{rng.randrange(40)}", f"i{rng.randrange(3)}",
+                             *rng.sample(tags, rng.randint(1, 5))) for _ in range(300)])
+
+
+@pytest.mark.parametrize("network", [lambda: build_network(read_triples(GOLDEN)), many_weights],
+                         ids=["golden", "many-weights"])
+def test_incidence_matrices_equal_the_eager_construction_bit_for_bit(network):
+    net = network()
+    eager = eager_incidence(net)
+    assert list(net.incidence) == list(eager)
+    for key, expected in eager.items():
+        m = net.incidence[key]
+        assert net.incidence[key] is m  # built once, then kept
+        assert m.shape == expected.shape
+        for part in ("indptr", "indices", "data"):
+            got, want = getattr(m, part), getattr(expected, part)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 def test_attribution_sums_match_exact_weights():
