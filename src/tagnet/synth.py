@@ -8,13 +8,14 @@ the config, seed included.
 
 from __future__ import annotations
 
+import io
 import math
 import random
 from collections import Counter
 from dataclasses import dataclass, fields
+from pathlib import Path
 from typing import Iterable
 
-from .io import _undecodable
 from .model import DataError, TaggingEvent
 
 _MAX_TAG_DRAWS = 20
@@ -112,12 +113,11 @@ def load_config(path) -> PlantedConfig:
     parsers = {f.name: types[f.type] for f in fields(PlantedConfig)}
     values: dict[str, int | float] = {}
     try:
-        with open(path, encoding="utf-8") as fh:
-            lines = fh.readlines()
+        text = Path(path).read_bytes().decode("utf-8")
     except UnicodeDecodeError as exc:
-        offset = _undecodable(path)
-        raise DataError(f"{path}: undecodable byte at offset {offset}") from exc
-    for line_num, line in enumerate(lines, start=1):
+        raise DataError(f"{path}: undecodable byte at offset {exc.start}") from exc
+    # split at universal newlines, as a text-mode read splits them
+    for line_num, line in enumerate(io.StringIO(text, newline=None), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue

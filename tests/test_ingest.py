@@ -141,8 +141,10 @@ def messy_files(draw):
     if draw(st.booleans()):
         lines.insert(draw(st.integers(0, 2)) if lines else 0,
                      draw(st.sampled_from(["user", " user "])) + f"{sep}item{sep}tag")
-    endings = draw(st.lists(st.sampled_from(["\n", "\r\n"]), min_size=len(lines),
-                            max_size=len(lines)))
+    plain = draw(st.integers(0, len(lines)))  # lines ending in LF alone, then a mix
+    endings = ["\n"] * plain + draw(st.lists(st.sampled_from(["\n", "\r\n"]),
+                                            min_size=len(lines) - plain,
+                                            max_size=len(lines) - plain))
     text = "".join(line + end for line, end in zip(lines, endings))
     bom = "\ufeff" if draw(st.booleans()) else ""
     return fmt, bom + text
@@ -153,14 +155,24 @@ def messy_files(draw):
     normalize=st.sampled_from(["default", "exact", drop_x]),
     strict=st.booleans(),
     chunk=st.sampled_from([1, 2, 3, tio.CHUNK_ROWS]),
+    # Small blocks split a plain prefix of the file and leave csv.reader the
+    # rest from its first quote, CRLF, blank or malformed line; one byte
+    # leaves csv.reader the whole file.
+    block=st.sampled_from([1, 16, 64, tio.BLOCK_BYTES]),
 )
 # Only well-formed lines, in one chunk, with the lines of pair (u1, i1) apart.
 @example(data=("tsv", "u1\ti1\tt1\nu2\ti2\tt2\nu1\ti1\tt3\nu2\ti1\tt1\n"),
-         normalize="default", strict=False, chunk=tio.CHUNK_ROWS)
-def test_columnar_ingest_matches_line_by_line_reference(data, normalize, strict, chunk):
+         normalize="default", strict=False, chunk=tio.CHUNK_ROWS, block=tio.BLOCK_BYTES)
+# A malformed line, then in its chunk a quoted field over two lines.
+@example(data=("csv", 'u1,i1\nu2,i2,"t\nq"\n'),
+         normalize="default", strict=False, chunk=tio.CHUNK_ROWS, block=tio.BLOCK_BYTES)
+# A split header row, then a malformed line that csv.reader reads from line 3.
+@example(data=("tsv", "user\titem\ttag\nu1\ti1\tt1\nu2\t\tt2\n"),
+         normalize="default", strict=False, chunk=tio.CHUNK_ROWS, block=16)
+def test_columnar_ingest_matches_line_by_line_reference(data, normalize, strict, chunk, block):
     fmt, text = data
     norm = NORMALIZERS.get(normalize, normalize)
-    old_chunk = tio.CHUNK_ROWS
+    old_chunk, old_block = tio.CHUNK_ROWS, tio.BLOCK_BYTES
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / f"data.{fmt}"
         path.write_bytes(text.encode("utf-8"))
@@ -170,7 +182,7 @@ def test_columnar_ingest_matches_line_by_line_reference(data, normalize, strict,
             ref = reference_network(events, norm, strict, expected_warnings)
         except DataError as exc:
             events, ref, error = None, None, str(exc)
-        tio.CHUNK_ROWS = chunk
+        tio.CHUNK_ROWS, tio.BLOCK_BYTES = chunk, block
         try:
             with captured_warnings() as got:
                 if ref is None:
@@ -186,7 +198,7 @@ def test_columnar_ingest_matches_line_by_line_reference(data, normalize, strict,
             # other iterables take the same columnar path
             assert_same_network(build_network(iter(events), normalize, strict), ref)
         finally:
-            tio.CHUNK_ROWS = old_chunk
+            tio.CHUNK_ROWS, tio.BLOCK_BYTES = old_chunk, old_block
 
 
 @given(
@@ -270,6 +282,223 @@ def test_header_after_a_blank_first_chunk_is_skipped(tmp_path, monkeypatch):
     path = tmp_path / "data.tsv"
     path.write_text("\n  \n\nuser\titem\ttag\nu\ti\tt\n", encoding="utf-8")
     assert list(read_triples(path)) == [TaggingEvent("u", "i", ("t",))]
+
+
+# -- the split prefix and the csv.reader tail -----------------------------------
+
+@pytest.fixture
+def tail_at(monkeypatch):
+    """File offsets at which read_triples handed the rest of a file to
+    csv.reader; the bytes before each took the split path."""
+    offsets = []
+
+    def wrapper(fh, *args, **kwargs):
+        offsets.append(fh.tell())
+        return io.TextIOWrapper(fh, *args, **kwargs)
+
+    monkeypatch.setattr(tio, "TextIOWrapper", wrapper)
+    return offsets
+
+
+def _outcome(path, fmt="tsv", strict=False):
+    """read_triples' events and warnings, or the message of its DataError."""
+    with captured_warnings() as warnings:
+        try:
+            return list(read_triples(path, fmt, strict)), warnings
+        except DataError as exc:
+            return str(exc), None
+
+
+def _expected(path, fmt="tsv", strict=False):
+    """The line-by-line reference's events and warnings, or its error."""
+    warnings = []
+    try:
+        return reference_events(path, fmt, strict, warnings), warnings
+    except DataError as exc:
+        return str(exc), None
+    except csv.Error as exc:  # csv.reader rejects NUL before Python 3.11
+        return f"{path}:{_csv_error_line(path, fmt)}: {exc}", None
+
+
+def _csv_error_line(path, fmt):
+    """The line csv.reader is on when it fails on the file."""
+    reader = csv.reader(io.StringIO(Path(path).read_text("utf-8-sig"), newline=""),
+                        delimiter={"tsv": "\t", "csv": ","}[fmt])
+    try:
+        for _ in reader:
+            pass
+    except csv.Error:
+        return reader.line_num
+
+
+@pytest.mark.parametrize("block, head", [
+    (16, ""),  # one line a block
+    (64, "\ufeffuser\titem\ttag\n"),
+    (tio.BLOCK_BYTES, "\ufeff user \titem\tTag\n"),
+])
+def test_split_path_gives_the_csv_paths_triples(tmp_path, monkeypatch, tail_at, block, head):
+    monkeypatch.setattr(tio, "BLOCK_BYTES", block)
+    body = "".join(f" u{k % 7}\tí{k % 11} \tT{k % 5}é\n" for k in range(3000))
+    path = tmp_path / "data.tsv"
+    path.write_text(head + body, encoding="utf-8")
+    split = read_triples(path)
+    assert tail_at == [path.stat().st_size]  # every line took the split path
+    monkeypatch.setattr(tio, "_plain", lambda data, delimiter: b"")
+    tail = read_triples(path)
+    assert tail_at[1] == 0
+    # Names in first use, row by row, whatever the path, block or chunk size.
+    rows = (head.lstrip("\ufeff") + body).splitlines()
+    assert split.names == tail.names == ["", *dict.fromkeys(
+        field.strip() for row in rows for field in row.split("\t"))]
+    for column in ("users", "items", "tags"):
+        a, b = getattr(split, column), getattr(tail, column)
+        assert a.dtype == b.dtype == np.int32 and np.array_equal(a, b)
+    assert split.events is None and tail.events is None
+    assert list(split) == list(tail)
+
+
+@pytest.mark.parametrize("block", [64, tio.BLOCK_BYTES])
+@pytest.mark.parametrize("line", ["u1\ti1", "u1\t \tt1"])
+def test_malformed_line_after_the_split_prefix_keeps_its_line(
+    tmp_path, monkeypatch, tail_at, block, line
+):
+    monkeypatch.setattr(tio, "BLOCK_BYTES", block)
+    lines = _lines(3 * block // 12)
+    bad = len(lines) - 5  # 0-based: line bad + 1 of the file
+    lines[bad] = line
+    path = tmp_path / "data.tsv"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    message = f"{path}:{bad + 1}: malformed record {line.split(chr(9))!r}"
+    with captured_warnings() as warnings:
+        triples = read_triples(path)
+    assert warnings == [f"skipping {message}"]
+    assert len(triples.users) == len(lines) - 1
+    assert 0 <= len("\n".join(lines[:bad])) + 1 - tail_at[0] < block  # split up to its block
+    with pytest.raises(DataError) as raised:
+        read_triples(path, strict=True)
+    assert str(raised.value) == message
+
+
+@pytest.mark.parametrize("block", [64, tio.BLOCK_BYTES])
+@pytest.mark.parametrize("fmt, line", [
+    ("tsv", 'u9\ti9\t"a\tb"'),
+    ("csv", 'u9,i9,"a\nb",'),
+    ("csv", 'u9,"i9",t9'),
+    ("tsv", "u9\ti9\tt\r9"),  # a lone CR ends a csv row
+    ("tsv", "u9\ti9\tt9\r\nu8\ti8\tt8\r"),
+    ("tsv", "u9\ti9\tt\x009"),
+    ("tsv", "u9\ti9\tt9\tx9\nu8\ti8"),  # three delimiters, then one
+    ("tsv", "u8\ti8\nu9\ti9\tt9\tx9"),
+    ("tsv", "u9\t \tt9"),
+    ("tsv", "\nu9\ti9\tt9"),
+])
+def test_lines_that_are_not_plain_after_the_first_block_give_csvs_fields(
+    tmp_path, monkeypatch, tail_at, block, fmt, line
+):
+    monkeypatch.setattr(tio, "BLOCK_BYTES", block)
+    sep = {"tsv": "\t", "csv": ","}[fmt]
+    lines = [row.replace("\t", sep) for row in _lines(3 * block // 12)]
+    lines.insert(len(lines) - 10, line)
+    path = tmp_path / f"data.{fmt}"
+    path.write_bytes(("\n".join(lines) + "\n").encode("utf-8"))
+    assert _outcome(path, fmt) == _expected(path, fmt)
+    assert _outcome(path, fmt, strict=True) == _expected(path, fmt, strict=True)
+    # split up to the block of the inserted line, then csv.reader
+    assert 0 <= len("\n".join(lines[:-11])) + 1 - tail_at[0] < block
+
+
+@pytest.mark.parametrize("block", [16, 64, tio.BLOCK_BYTES])
+def test_byte_order_mark_is_dropped_only_at_the_start_of_the_file(tmp_path, monkeypatch,
+                                                                    block):
+    # With 16-byte blocks, csv.reader takes over at the second line's U+FEFF.
+    monkeypatch.setattr(tio, "BLOCK_BYTES", block)
+    path = tmp_path / "data.tsv"
+    path.write_text('\ufeffu\ti\tt\n\ufeffv\tj\t"q"\n', encoding="utf-8")
+    assert _outcome(path) == _expected(path)
+    assert list(read_triples(path))[1].user == "\ufeffv"
+
+
+@pytest.mark.parametrize("block", [16, 64, tio.BLOCK_BYTES])
+@pytest.mark.parametrize("text", [
+    "u\ti\ta\nu\tj\tb",
+    "u\ti\ta\nu\tj\tb\nbroken",
+    "user\titem\ttag",
+    "u\ti\ta\n\nv\tj\tb",
+    "u\ti\ta\nu\tj\tb\r",
+])
+def test_last_line_without_a_newline(tmp_path, monkeypatch, block, text):
+    monkeypatch.setattr(tio, "BLOCK_BYTES", block)
+    path = tmp_path / "data.tsv"
+    path.write_text(text, encoding="utf-8", newline="")
+    assert _outcome(path) == _expected(path)
+
+
+def test_overlong_line_without_a_newline_raises_csvs_field_limit_error(tmp_path, tail_at):
+    path = tmp_path / "data.tsv"
+    path.write_text("u\ti\t" + "x" * 200_000, encoding="utf-8")
+    with pytest.raises(DataError) as raised:
+        read_triples(path)
+    limit = csv.field_size_limit()
+    assert str(raised.value) == f"{path}:1: field larger than field limit ({limit})"
+    # A read with no newline in it hands the whole file to csv.reader.
+    assert tail_at == [0]
+
+
+def test_lower_field_size_limit_is_csvs_after_the_split_prefix(tmp_path, monkeypatch, tail_at):
+    monkeypatch.setattr(tio, "BLOCK_BYTES", 64)
+    old = csv.field_size_limit(100)
+    try:
+        lines = _lines(500)
+        lines[400] = "u\ti\t" + "x" * 101
+        path = tmp_path / "data.tsv"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(DataError) as raised:
+            read_triples(path)
+        assert str(raised.value) == f"{path}:401: field larger than field limit (100)"
+        assert tail_at[0] > 0
+        # Blocks above the limit are left to csv.reader, which reads short lines
+        # and rejects a long field inside such a block.
+        monkeypatch.setattr(tio, "BLOCK_BYTES", 4096)
+        del lines[400]
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert len(read_triples(path).users) == 499
+        lines[5] = "u\ti\t" + "x" * 101
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(DataError, match=":6: field larger than field limit"):
+            read_triples(path)
+    finally:
+        csv.field_size_limit(old)
+
+
+@pytest.mark.parametrize("bom", [b"", b"\xef\xbb\xbf"])
+@pytest.mark.parametrize("switch, bad", [
+    (None, 3), (None, 15_000),  # in the first and a later split block
+    (3000, 2000), (3000, 3000), (3000, 3001), (3000, 19_999),  # before and after the switch
+])
+def test_undecodable_byte_offset_in_the_split_prefix_and_the_csv_tail(tmp_path, bom, switch, bad):
+    lines = [f"u{k % 7}\tié{k % 11}\tt{k % 5}".encode("utf-8") for k in range(20_000)]
+    if switch is not None:
+        lines[switch] = b'u\ti\t"q"'  # csv.reader reads on from this line's block
+    lines[bad] += b"\xff"
+    path = tmp_path / "bad.tsv"
+    data = bom + b"\n".join(lines) + b"\n"
+    path.write_bytes(data)
+    with pytest.raises(UnicodeDecodeError) as decode:
+        data.decode("utf-8")
+    with pytest.raises(DataError) as raised:
+        read_triples(path)
+    assert str(raised.value) == f"{path}: undecodable byte at offset {decode.value.start}"
+
+
+@pytest.mark.parametrize("data", [b"u\ti\tt\xc3", b"u\ti\tt\n\xe2\x82", b"\xef\xbb\xbfu\ti\t\xe2"])
+def test_truncated_character_at_the_end_is_undecodable(tmp_path, data):
+    path = tmp_path / "bad.tsv"
+    path.write_bytes(data)
+    with pytest.raises(UnicodeDecodeError) as decode:
+        data.decode("utf-8")
+    with pytest.raises(DataError) as raised:
+        read_triples(path)
+    assert str(raised.value) == f"{path}: undecodable byte at offset {decode.value.start}"
 
 
 def test_tag_ids_follow_grouped_first_use_order(tmp_path):

@@ -69,6 +69,21 @@ def test_repeated_key_is_data_error(tmp_path):
         load_config(write(tmp_path, FULL + "communities = 3\n"))
 
 
+
+def test_config_lines_end_at_any_newline(tmp_path):
+    # Numbered as a text-mode read splits them: at CRLF, CR or LF alone.
+    path = tmp_path / "planted.cfg"
+    path.write_bytes(b"communities = 2\r\ntags_per_community = 2\rcommunities = 3\n")
+    with pytest.raises(DataError, match="planted.cfg:3: duplicate key 'communities'"):
+        load_config(path)
+
+
+def test_undecodable_config_reports_the_byte_offset(tmp_path):
+    path = tmp_path / "planted.cfg"
+    path.write_bytes(FULL.encode() + b"seed = \xff\n")
+    with pytest.raises(DataError, match=f"undecodable byte at offset {len(FULL) + 7}$"):
+        load_config(path)
+
 # -- planted recovery ---------------------------------------------------------
 
 @pytest.mark.parametrize("seed", range(1, 9))
