@@ -168,13 +168,13 @@ def island_activity(
     """
     if tree.family != TAG:
         raise ValueError("island activity is defined over tag islands")
-    if sample_spec.total <= 0:
+    if (s_total := sample_spec.total) <= 0:  # each total is a sum: read once
         raise ValueError("sample spectrum is empty")
-    if user_spec.total <= 0:
+    if (u_total := user_spec.total) <= 0:
         raise ValueError("user spectrum is empty")
 
     s, u = tree.island_sums(sample_spec.counts, user_spec.counts)
-    return ActivityReport(user_spec.owner, s / sample_spec.total, u / user_spec.total)
+    return ActivityReport(user_spec.owner, s / s_total, u / u_total)
 
 
 def activity_color(ratio: float | None) -> tuple[int, int, int]:

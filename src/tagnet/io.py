@@ -57,12 +57,13 @@ def read_triples(path, fmt: str = "tsv", strict: bool = False) -> Triples:
     """
     delimiter = _delimiter(fmt)
     codes_of, columns, header = _Interner(), [], True
-    start = lines = 0  # file offset and line count after the split blocks
+    lines = 0  # line count after the split blocks; start is the file offset after them
     with open(path, "rb") as fh:
+        start = fh.seek(3 if fh.read(3) == b"\xef\xbb\xbf" else 0)  # past a byte-order mark
         try:
             while block := _plain(fh.read(BLOCK_BYTES), delimiter):
                 fh.seek(start + len(block))  # the next block starts after this one
-                text = block.decode("utf-8" if start else "utf-8-sig").replace("\n", delimiter)
+                text = block.decode("utf-8").replace("\n", delimiter)
                 codes = codes_of.codes(text.split(delimiter), block.count(b"\n"))
                 if not codes.all():  # csv.reader reports the empty fields' lines
                     break
@@ -70,7 +71,7 @@ def read_triples(path, fmt: str = "tsv", strict: bool = False) -> Triples:
                 columns.append(codes[:, skip:])
                 header, start, lines = False, start + len(block), lines + codes.shape[1]
             fh.seek(start)
-            tail = TextIOWrapper(fh, "utf-8" if start else "utf-8-sig", newline="")
+            tail = TextIOWrapper(fh, "utf-8", newline="")
             reader = csv.reader(tail, delimiter=delimiter)
             while rows := list(islice(reader, CHUNK_ROWS)):
                 n = len(rows)

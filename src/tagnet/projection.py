@@ -233,11 +233,11 @@ class _CosineRows:
     """Cosine rows of one view's members, each over the whole family.
 
     block first computes, in one product, the full row of each requested
-    member that has none yet; the block is then those rows cut to the
-    requested members. Each cosine is G[i, j] / sqrt(G[i, i] * G[j, j]) on
-    the Gram matrix G = A A^T of the raw signatures (the rows of a). For 0/1
-    signatures G is exact, so each cosine is rounded once and exact values
-    stay exact: two users with 6 items sharing 3 correlate exactly 0.5.
+    member that has none yet, then copies the entries of the requested rows
+    that fall in the request. Each cosine is G[i, j] / sqrt(G[i, i] * G[j, j])
+    on the Gram matrix G = A A^T of the raw signatures (the rows of a). For
+    0/1 signatures G is exact, so each cosine is rounded once and exact
+    values stay exact: two users with 6 items sharing 3 correlate exactly 0.5.
     """
 
     def __init__(self, a: sp.csr_matrix, at: sp.csr_matrix) -> None:
@@ -247,9 +247,9 @@ class _CosineRows:
         # ascending), as csr_matmat adds every G[i, j]: the product's bits.
         row = np.repeat(np.arange(n), np.diff(a.indptr))
         self.gram = np.bincount(row, a.data * a.data, n)
-        self.slot = np.full(n, -1)       # scratch: block position per member
-        self.cols: list = [None] * n     # per member: its full row's columns
-        self.vals: list = [None] * n     # and cosines
+        self.slot = np.full(n, -1, np.int32)  # reused: block position per member
+        self.cols: list = [None] * n          # per member: its full row's columns
+        self.vals: list = [None] * n          # and cosines
 
     def block(self, wanted: np.ndarray) -> sp.csr_matrix:
         members, k = wanted.tolist(), len(wanted)
@@ -260,17 +260,16 @@ class _CosineRows:
             split = zip(np.split(grid.indices, cut), np.split(grid.data, cut))
             for m, (c, v) in zip(new.tolist(), split):
                 self.cols[m], self.vals[m] = c, v
-        cols = [self.cols[m] for m in members]
-        lens = np.fromiter(map(len, cols), np.intp, k)
-        cols = np.concatenate([np.empty(0, np.intp), *cols])
-        vals = np.concatenate([np.empty(0), *(self.vals[m] for m in members)])
+        # The requested rows end to end: each entry's block position, -1 outside.
+        cols, vals = [self.cols[m] for m in members], [self.vals[m] for m in members]
         self.slot[wanted] = np.arange(k)
-        col = self.slot[cols]
+        col = self.slot[np.concatenate([np.empty(0, np.int32), *cols])]
         self.slot[wanted] = -1
-        keep = col >= 0
-        kept = np.concatenate(([0], np.cumsum(keep)))
-        indptr = kept[np.concatenate(([0], np.cumsum(lens)))]
-        return sp.csr_matrix((vals[keep], col[keep], indptr), shape=(k, k))
+        at = np.flatnonzero(col >= 0)  # the kept entries, ascending
+        ends = np.cumsum(np.fromiter(map(len, cols), np.intp, k))
+        indptr = np.concatenate(([0], np.searchsorted(at, ends)))  # kept before each row end
+        vals = np.concatenate([np.empty(0), *vals])
+        return sp.csr_matrix((vals[at], col[at], indptr), shape=(k, k))
 
     def _cosines(self, new: np.ndarray, family: bool) -> sp.csr_matrix:
         """Cosines of the members new against the whole family, or against

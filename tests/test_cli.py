@@ -169,6 +169,13 @@ def test_field_over_the_csv_limit_is_data_error(tmp_path, capsys, strict):
     assert err.startswith(f"tagnet: error: {path}:1: field larger than field limit")
 
 
+def test_input_cut_inside_its_byte_order_mark_is_data_error(tmp_path, capsys):
+    path = tmp_path / "cut.tsv"
+    path.write_bytes(b"\xef\xbb")
+    assert main(["stats", "--input", str(path)]) == EXIT_DATA
+    assert capsys.readouterr().err == f"tagnet: error: {path}: undecodable byte at offset 0\n"
+
+
 def test_tree_writes_through_a_device_output(tmp_path, triples):
     if not stat.S_ISCHR(os.lstat(os.devnull).st_mode):
         pytest.skip(f"{os.devnull} is not a character device here")
