@@ -278,14 +278,15 @@ def write_tree_dot(
     ]
     # A drawn island's parent is drawn too: it holds at least as many members.
     edges = []
-    sizes, characteristic = (a.tolist() for a in tree.layout[1:])
-    for k, (level, parent) in enumerate(zip(tree.level.tolist(), tree.parent.tolist())):
-        if level >= 0 and sizes[k] == 1 and not include_singletons:
-            continue
+    _, sizes, characteristic = tree.layout
+    drawn = (np.arange(sizes.size) if include_singletons
+             else np.flatnonzero((sizes > 1) | (tree.level < 0)))
+    rows = (a[drawn].tolist() for a in (tree.parent, sizes, characteristic))
+    for k, parent, size, member in zip(drawn.tolist(), *rows):
         if parent >= 0:
             edges.append(f"  n{parent} -> n{k};")
-        width = DOT_WIDTH_SCALE * math.sqrt(sizes[k])
-        label = tree.names[characteristic[k]].replace("\\", "\\\\").replace('"', '\\"')
+        width = DOT_WIDTH_SCALE * math.sqrt(size)
+        label = tree.names[member].replace("\\", "\\\\").replace('"', '\\"')
         attrs = [f'label="{label}"', f"width={width:.3f}", f"height={width:.3f}"]
         if report is not None:
             color = report.records[k].color

@@ -13,7 +13,9 @@ arithmetic on its value and the grid, and each row block's links are written
 straight into bucket order, so the pass holds only the links' two ends.
 Islands only refine as phi grows, so the pass can run from the top down, and
 rows none of whose entries leave their islands at a level keep the island
-sums of the level above.
+sums of the level above. The sums read each row block in column order: every
+row still adds its entries in ascending column order, so the bits are those
+of a row-by-row pass, but consecutive adds go to different rows.
 """
 
 from __future__ import annotations
@@ -172,7 +174,11 @@ def build_tree(C: CorrelationMatrix, grid: FilterGrid | None = None) -> IslandTr
     order. Every island's characteristic element is the member whose summed
     correlation to the island, added up in ascending id order from 0.0 one
     term at a time with the diagonal included, is the largest, ties to the
-    smallest id.
+    smallest id; the other members follow by the same sums. Each row block
+    is summed in column order: its CSC form lists every row's entries in
+    ascending column order whatever order the CSR rows store them in, and
+    bincount adds each bin's terms in array order, so each sum is that same
+    left fold. C.values is read, not changed. Values must lie in [0, 1].
     """
     if C.size == 0:
         raise ValueError("cannot sweep an empty matrix")
@@ -182,8 +188,9 @@ def build_tree(C: CorrelationMatrix, grid: FilterGrid | None = None) -> IslandTr
     # Members are in ascending id order, so the smallest index of a group is
     # its smallest member id.
     n = C.size
-    values = sp.csr_matrix(C.values)
-    values.sort_indices()  # in place, so a CSR C.values is left equal
+    values = sp.csr_matrix(C.values)  # shares a CSR C.values's arrays; left as found
+    if not (0.0 <= values.data.min(initial=0.0) and values.data.max(initial=0.0) <= 1.0):
+        raise ValueError("correlation values must lie in [0, 1]")
 
     # A link of bucket b survives levels 0..b-1. The first pass over the row
     # blocks buckets their upper-triangle links above grid.start and counts
@@ -234,12 +241,17 @@ def build_tree(C: CorrelationMatrix, grid: FilterGrid | None = None) -> IslandTr
     # sums[t] sums each row over its island in labels[t]. Islands only refine, so
     # the entries kept for one level are filtered again for the next; a block
     # none of whose entries leaves its island keeps the level above's sums.
-    # Indices are cast to intp once per block: numpy casts any other index
-    # dtype again on every gather.
+    # Each block is read in column order (see the module docstring). Row indices
+    # are cast to intp once per block: numpy casts any other dtype on every gather.
     sums = np.empty(labels.shape)
-    for lo, hi, rows, cols, data in _blocks(values):
+    for lo in range(0, n, BLOCK_ROWS):
+        hi = min(lo + BLOCK_ROWS, n)
+        p, q = values.indptr[lo], values.indptr[hi]
+        block = sp.csr_matrix((values.data[p:q], values.indices[p:q],
+                               values.indptr[lo:hi + 1] - p), shape=(hi - lo, n)).tocsc()
+        rows, data = block.indices.astype(np.intp), block.data
+        cols = np.repeat(np.arange(n), np.diff(block.indptr))
         sums[0, lo:hi] = np.bincount(rows, weights=data, minlength=hi - lo)  # the root
-        rows, cols = rows.astype(np.intp), cols.astype(np.intp)
         for t in range(1, len(labels)):
             if split[t - 1, lo // BLOCK_ROWS]:
                 inside = labels[t, lo:hi].take(rows) == labels[t].take(cols)
@@ -264,11 +276,11 @@ def build_tree(C: CorrelationMatrix, grid: FilterGrid | None = None) -> IslandTr
 
 
 def _blocks(csr: sp.csr_matrix):
-    """Stored entries of a CSR with sorted indices, BLOCK_ROWS rows at a time.
+    """Stored entries of a CSR, BLOCK_ROWS rows at a time.
 
     Yields (lo, hi, rows, cols, data) for the rows lo..hi-1: cols and data are
     slices of the CSR's arrays, rows their offsets from lo in the index dtype,
-    each row's entries in ascending column order.
+    each row's entries in the order the CSR stores them.
     """
     indptr, indices, data = csr.indptr, csr.indices, csr.data
     for lo in range(0, csr.shape[0], BLOCK_ROWS):

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 
 import numpy as np
@@ -410,6 +411,50 @@ def test_tree_json_bytes_equal_json_dump(tmp_path_factory, case):
             patch.setattr(tagnet.io, "CHUNK_ISLANDS", chunk)
             write_tree_json(tree, path, report=report)
         assert path.read_bytes() == expected, chunk
+
+
+# -- the DOT tree writer's bytes -----------------------------------------------
+
+def dot_text(tree, report=None, include_singletons=False):
+    """The DOT document as a loop over every island wrote it, skipping the
+    singletons one at a time."""
+    lines = ["digraph islands {", "  rankdir=TB;", "  node [shape=square, fixedsize=true];"]
+    edges = []
+    sizes, characteristic = (a.tolist() for a in tree.layout[1:])
+    for k, (level, parent) in enumerate(zip(tree.level.tolist(), tree.parent.tolist())):
+        if level >= 0 and sizes[k] == 1 and not include_singletons:
+            continue
+        if parent >= 0:
+            edges.append(f"  n{parent} -> n{k};")
+        width = tagnet.io.DOT_WIDTH_SCALE * math.sqrt(sizes[k])
+        label = tree.names[characteristic[k]].replace("\\", "\\\\").replace('"', '\\"')
+        attrs = [f'label="{label}"', f"width={width:.3f}", f"height={width:.3f}"]
+        if report is not None:
+            color = report.records[k].color
+            attrs.append("style=filled")
+            attrs.append(f'fillcolor="#{color[0]:02x}{color[1]:02x}{color[2]:02x}"')
+        lines.append(f"  n{k} [{', '.join(attrs)}];")
+    return "\n".join(lines + edges + ["}"]) + "\n"
+
+
+@given(case=trees_and_reports())
+@example(case=(LINKLESS, None))
+@example(case=(LINKLESS, _sparse_sample_report(LINKLESS)))
+@example(case=(CHAIN, None))
+@example(case=(CHAIN, _sparse_sample_report(CHAIN)))
+def test_tree_dot_bytes_equal_the_every_island_loop(tmp_path_factory, case):
+    tree, report = case
+    path = tmp_path_factory.mktemp("dot") / "t.dot"
+    for include_singletons in (False, True):
+        text = dot_text(tree, report, include_singletons)
+        try:
+            expected = text.encode("utf-8")
+        except UnicodeEncodeError:  # a drawn label holds a lone surrogate
+            with pytest.raises(UnicodeEncodeError):
+                write_tree_dot(tree, path, report, include_singletons)
+            continue
+        write_tree_dot(tree, path, report, include_singletons)
+        assert path.read_bytes() == expected, include_singletons
 
 
 def test_long_phi_and_undefined_ratio_examples_hold_what_they_name():

@@ -1,6 +1,8 @@
 import dataclasses
+import functools
 import json
 import math
+import operator
 import random
 
 import numpy as np
@@ -55,15 +57,20 @@ def oracle_components(members, edges):
     return parts
 
 
-def oracle_characteristic(island, C):
-    best, best_sum = None, None
-    for i in sorted(island):
+def oracle_member_order(island, C):
+    """The island's members by summed correlation to it, largest first, ties
+    to the smaller id; each sum a left fold over the island in ascending id
+    order from 0.0."""
+    def total(i):
         s = 0.0
         for j in sorted(island):
             s += C.value(i, j)
-        if best_sum is None or s > best_sum:
-            best, best_sum = i, s
-    return best
+        return s
+    return sorted(island, key=lambda i: (-total(i), i))
+
+
+def oracle_characteristic(island, C):
+    return oracle_member_order(island, C)[0]
 
 
 def oracle_tree(C, grid):
@@ -315,6 +322,17 @@ def test_empty_matrix_rejected():
         build_tree(CorrelationMatrix.from_dense(np.zeros((0, 0))))
 
 
+# A hand-built matrix skips from_dense's checks; a NaN link would otherwise be
+# dropped by the phi filter without a word.
+@pytest.mark.parametrize("storage", [np.asarray, sp.csr_matrix])
+@pytest.mark.parametrize("bad", [math.nan, -0.5, 1.5])
+def test_values_outside_the_unit_interval_are_rejected(storage, bad):
+    values = storage(np.array([[1.0, bad, 0.0], [bad, 1.0, 0.5], [0.0, 0.5, 1.0]]))
+    C = CorrelationMatrix("tag", "direct", [0, 1, 2], ["a", "b", "c"], values)
+    with pytest.raises(ValueError, match=r"correlation values must lie in \[0, 1\]"):
+        build_tree(C)
+
+
 def test_ties_at_exact_one_stop_at_grid_end():
     # entries exactly 1.0 never erode below phi = 1, so the sweep caps there
     c = np.ones((2, 2))
@@ -467,6 +485,49 @@ def test_sweep_matches_bruteforce_oracle_with_ties(C, grid):
     order = [(isl.level, min(isl.members)) for isl in tree.islands[1:]]
     assert order == sorted(order)
     assert [isl.id for isl in tree.islands] == list(range(len(tree.islands)))
+
+
+# The root's order is 2, 0, 3, 1; summed in descending column order, rows 0
+# and 3 add to 1.65 and 1.6500000000000001, so 3 would come before 0.
+DESCENDING_ORDER_SWAPS = np.array([
+    [1.0, 0.1, 0.5, 0.05],
+    [0.1, 1.0, 0.05, 0.3],
+    [0.5, 0.05, 1.0, 0.3],
+    [0.05, 0.3, 0.3, 1.0],
+])
+
+
+def test_descending_order_example_holds_what_it_names():
+    def sums(order):
+        return [functools.reduce(operator.add, row[order].tolist(), 0.0)
+                for row in DESCENDING_ORDER_SWAPS]
+    ascending, descending = sums(slice(None)), sums(slice(None, None, -1))
+    assert sorted(range(4), key=lambda i: (-ascending[i], i)) == [2, 0, 3, 1]
+    assert sorted(range(4), key=lambda i: (-descending[i], i)) == [2, 3, 0, 1]
+
+
+@given(C=stored_matrices(), grid=grids)
+@example(C=CorrelationMatrix.from_dense(DESCENDING_ORDER_SWAPS), grid=FilterGrid())
+@example(C=CorrelationMatrix("tag", "direct", [0, 1, 2, 3], ["a", "b", "c", "d"],
+                            descending_csr(DESCENDING_ORDER_SWAPS)), grid=FilterGrid())
+def test_members_follow_their_summed_correlation(C, grid):
+    tree = sweep_in_two_row_blocks(C, grid)
+    members, bounds = tree.members.tolist(), tree.start.tolist()
+    for isl, lo, hi in zip(tree.islands, bounds, bounds[1:]):
+        assert members[lo:hi] == oracle_member_order(isl.members, C)
+
+
+@given(C=stored_matrices(), grid=grids)
+@example(C=CorrelationMatrix.from_dense(DESCENDING_SUMS_DIFFER), grid=FilterGrid())
+def test_sweep_leaves_its_input_as_it_found_it(C, grid):
+    values = descending_csr(C.dense())
+    before = [a.tobytes() for a in (values.indices, values.indptr, values.data)]
+    tree = sweep_in_two_row_blocks(dataclasses.replace(C, values=values), grid)
+    assert [a.tobytes() for a in (values.indices, values.indptr, values.data)] == before
+    ordered = sweep_in_two_row_blocks(
+        dataclasses.replace(C, values=values.sorted_indices()), grid)
+    for name in ("level", "parent", "members", "start"):
+        assert np.array_equal(getattr(tree, name), getattr(ordered, name)), name
 
 
 @given(C=stored_matrices(), grid=grids)
