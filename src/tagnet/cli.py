@@ -22,13 +22,7 @@ from .diversity import (
 from .io import _create, read_triples, write_tree_dot, write_tree_json, write_triples
 from .model import ITEM, TAG, USER, DataError, build_network, degree_stats
 from .percolation import FilterGrid, build_tree
-from .projection import (
-    VIEWS,
-    correlation_matrix,
-    cosine,
-    top_n,
-    user_item_signature,
-)
+from .projection import VIEWS, correlation_matrix, top_n
 from .synth import generate, load_config
 
 EXIT_OK = 0
@@ -224,8 +218,8 @@ def cmd_compare(args) -> int:
     net = _load_network(args)
     uid1 = net.users.id_of(args.user1)
     uid2 = net.users.id_of(args.user2)
-    similarity = cosine(user_item_signature(net, uid1), user_item_signature(net, uid2))
-    print(f"cosine: {similarity:.6f}")
+    pair = correlation_matrix(net, USER, members=sorted({uid1, uid2}))
+    print(f"cosine: {pair.values[0, pair.size - 1]:.6f}")
 
     spec1 = tag_spectrum(net, uid1, weighted=args.weighted_tau)
     spec2 = tag_spectrum(net, uid2, weighted=args.weighted_tau)

@@ -295,8 +295,9 @@ def write_tree_dot(
         lines.append(f"  n{k} [{', '.join(attrs)}];")
     lines += edges
     lines.append("}")
+    document = ("\n".join(lines) + "\n").encode("utf-8")  # fails before _create unlinks
     with _create(path) as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.buffer.write(document)
 
 
 def _check_report(tree: IslandTree, report: ActivityReport | None) -> None:

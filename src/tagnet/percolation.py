@@ -7,7 +7,7 @@ forest hung under a virtual root.
 
 The islands at phi are the components of the graph {C > phi}, so every level
 comes out of one single-linkage pass (Gower & Ross 1969): bucket the links by
-the number of levels they survive, join each bucket's ends from the top level
+the number of levels they survive, hook each bucket's ends from the top level
 down, and read the groups off after each bucket. A link's bucket is
 arithmetic on its value and the grid, and each row block's links are written
 straight into bucket order, so the pass holds only the links' two ends.
@@ -167,8 +167,13 @@ def build_tree(C: CorrelationMatrix, grid: FilterGrid | None = None) -> IslandTr
     The islands come from one single-linkage pass: the links above
     grid.start are bucketed by the number of levels whose phi they exceed
     (FilterGrid.bucket), one row block at a time, and their ends are written
-    straight into bucket order. From the top level down each bucket joins
-    its links' ends in a union-find forest before the groups are recorded.
+    straight into bucket order. From the top level down each bucket's links
+    are joined by array hooking (Shiloach & Vishkin 1982): each round hooks
+    the larger root of every link still across two groups onto the smallest
+    root it meets there by np.minimum.at (a plain assignment keeps an
+    arbitrary write, and a star centred on its largest id then takes a round
+    per leaf), and follows pointers until each index maps straight to its
+    root.
     A row block none of whose entries leaves its island at a level copies
     the level above's sums, which would add the same entries in the same
     order. Every island's characteristic element is the member whose summed
@@ -178,7 +183,10 @@ def build_tree(C: CorrelationMatrix, grid: FilterGrid | None = None) -> IslandTr
     is summed in column order: its CSC form lists every row's entries in
     ascending column order whatever order the CSR rows store them in, and
     bincount adds each bin's terms in array order, so each sum is that same
-    left fold. C.values is read, not changed. Values must lie in [0, 1].
+    left fold. C.values is read, not changed. Values must lie in [0, 1], and
+    C must be symmetric: links are read from the upper triangle only, while
+    the sums read both. An asymmetric hand-built CSR is not detected, since
+    checking would cost a transposed copy of C.
     """
     if C.size == 0:
         raise ValueError("cannot sweep an empty matrix")
@@ -224,9 +232,7 @@ def build_tree(C: CorrelationMatrix, grid: FilterGrid | None = None) -> IslandTr
     labels = np.zeros((len(levels) + 1, n), dtype=np.intp)
     root = np.arange(n)
     for t in range(len(levels) - 1, -1, -1):
-        a, b = root[ii[cuts[t]:cuts[t + 1]]], root[jj[cuts[t]:cuts[t + 1]]]
-        apart = a != b
-        _join(root, a[apart], b[apart])
+        _join(root, ii[cuts[t]:cuts[t + 1]], jj[cuts[t]:cuts[t + 1]])
         labels[t + 1] = root + (t + 1) * n
     del ii, jj
 
@@ -290,26 +296,11 @@ def _blocks(csr: sp.csr_matrix):
 
 
 def _join(root: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
-    """Merge the groups of a[k] and b[k] for every k, in place.
-
-    root is a union-find forest over 0..n-1 in which every group's root is
-    its smallest index; on return it maps every index straight to its root.
-    """
-    up = root.tolist()
-    for x, y in zip(a.tolist(), b.tolist()):
-        while up[x] != x:
-            up[x] = up[up[x]]
-            x = up[x]
-        while up[y] != y:
-            up[y] = up[up[y]]
-            y = up[y]
-        if x < y:
-            up[y] = x
-        elif y < x:
-            up[x] = y
-    root[:] = up
-    while True:
-        hop = root[root]
-        if np.array_equal(hop, root):
-            return
-        root[:] = hop
+    """Merge the groups of a[k] and b[k] for every k by hooking (build_tree), in
+    place. root maps each index to its group's smallest index, on entry and exit."""
+    while (apart := root[a] != root[b]).any():
+        a, b = a[apart], b[apart]
+        ra, rb = root[a], root[b]
+        np.minimum.at(root, np.maximum(ra, rb), np.minimum(ra, rb))
+        while not np.array_equal(hop := root[root], root):
+            root[:] = hop

@@ -462,3 +462,14 @@ def test_long_phi_and_undefined_ratio_examples_hold_what_they_name():
     ratios = [record.ratio for record in _sparse_sample_report(LINKLESS).records.values()]
     assert None in ratios and any(r is not None for r in ratios)
     assert [isl.size for isl in CHAIN.islands if 0 in isl.members] == [3, 2, 2, 2, 2, 1]
+
+
+@pytest.mark.parametrize("old", [b"OLD CONTENT\n", None])
+def test_dot_name_that_cannot_be_encoded_leaves_the_old_file_alone(tmp_path, old):
+    C = CorrelationMatrix.from_dense([[1, 0.9], [0.9, 1]], names=["a", "\ud800"])
+    path = tmp_path / "t.dot"
+    if old is not None:
+        path.write_bytes(old)
+    with pytest.raises(UnicodeEncodeError):
+        write_tree_dot(build_tree(C), path, include_singletons=True)
+    assert (path.read_bytes() if path.exists() else None) == old

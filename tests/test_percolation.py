@@ -1,9 +1,11 @@
+import contextlib
 import dataclasses
 import functools
 import json
 import math
 import operator
 import random
+import signal
 
 import numpy as np
 import pytest
@@ -596,3 +598,87 @@ def test_island_sums_add_members_one_at_a_time_in_ascending_id_order(C, grid, we
                 for w in weights]
     assert [sums.tolist() for sums in tree.island_sums(*weights)] == expected
     assert tree.sum_index is tree.sum_index
+
+
+# -- hooking ----------------------------------------------------------------------
+
+def smallest_mates(n, links):
+    """root as _join leaves it: each index's smallest component mate."""
+    root = np.arange(n)
+    for comp in oracle_components(range(n), links):
+        root[list(comp)] = min(comp)
+    return root
+
+
+@contextlib.contextmanager
+def ends_within(seconds):
+    """Fail, rather than hang, when the block runs longer than seconds."""
+    def expire(*_):
+        raise TimeoutError(f"still running after {seconds} s")
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def check_join(n, links, merged=0):
+    """Join the links after the first `merged` into a root whose groups hold
+    those already merged, and check the result against the DFS oracle."""
+    links = np.array(links, dtype=np.int32).reshape(-1, 2)
+    root = smallest_mates(n, links[:merged].tolist())
+    with ends_within(5.0):
+        tagnet.percolation._join(root, links[merged:, 0], links[merged:, 1])
+    assert root.tolist() == smallest_mates(n, links.tolist()).tolist()
+    assert np.array_equal(root[root], root)
+
+
+def path_links(order):
+    return np.column_stack([order[:-1], order[1:]])
+
+
+def hooking_shapes(rng, n=4096, spine=1000):
+    """Link sets over 0..n-1 that cost a hooking scheme many rounds or hooks
+    onto one root from many links; n must be a power of two."""
+    ids, bits = rng.permutation(n), n.bit_length() - 1
+    half = np.arange(n // 2)
+    return {
+        "path, random ids": path_links(ids),
+        "path, zig-zag ids": path_links(np.column_stack([half, n - 1 - half]).ravel()),
+        "path, bit-reversed ids": path_links(
+            np.array([int(f"{i:0{bits}b}"[::-1], 2) for i in range(n)])),
+        "star, largest-id centre": np.column_stack([np.full(n - 1, n - 1), np.arange(n - 1)]),
+        "random graph, 2n links": rng.integers(0, n, (2 * n, 2)),
+        "random binary tree": ids[np.column_stack([(np.arange(1, n) - 1) // 2, np.arange(1, n)])],
+        "caterpillar, 1,000-node spine": ids[np.r_[
+            path_links(np.arange(spine)),
+            np.column_stack([rng.integers(0, spine, n - spine), np.arange(spine, n)])]],
+    }
+
+
+HOOKING_SHAPES = hooking_shapes(np.random.default_rng(7))
+
+
+@pytest.mark.parametrize("premerged", [False, True])
+@pytest.mark.parametrize("shape", list(HOOKING_SHAPES))
+def test_join_matches_the_oracle_on_adversarial_shapes(shape, premerged):
+    links = HOOKING_SHAPES[shape]
+    check_join(4096, links, len(links) // 2 if premerged else 0)
+
+
+@given(n=st.integers(1, 40), data=st.data())
+def test_join_matches_the_oracle_on_random_graphs(n, data):
+    ends = st.integers(0, n - 1)
+    links = data.draw(st.lists(st.tuples(ends, ends), max_size=3 * n))
+    check_join(n, links, data.draw(st.integers(0, len(links))))
+
+
+def test_join_hooks_a_star_centred_on_its_largest_id_in_a_few_rounds():
+    # Hooking by plain assignment keeps one leaf's write per round here.
+    n = 100_001
+    root = np.arange(n)
+    with ends_within(1.0):
+        tagnet.percolation._join(root, np.full(n - 1, n - 1), np.arange(n - 1))
+    assert not root.any()
