@@ -8,8 +8,8 @@ import logging
 import math
 import os
 import stat
-from io import TextIOWrapper
-from itertools import chain, islice
+from io import StringIO, TextIOWrapper
+from itertools import chain, islice, repeat
 from json.encoder import encode_basestring_ascii
 from typing import Iterable
 
@@ -51,9 +51,7 @@ def read_triples(path, fmt: str = "tsv", strict: bool = False) -> Triples:
     header row is auto-detected and skipped. Malformed lines are skipped with
     a warning, or abort the read in strict mode; a line that csv.reader
     cannot tokenize aborts it in either mode. The file is read in full before
-    this returns: iterating the result yields the lines grouped by (user,
-    item), tags in first-use order, as TaggingEvents, and build_network takes
-    it without that iteration.
+    this returns, and build_network takes the columns as they are.
     """
     delimiter = _delimiter(fmt)
     codes_of, columns, header = _Interner(), [], True
@@ -166,13 +164,18 @@ def _create(path):
 
 
 def write_triples(events: Iterable[TaggingEvent], path, fmt: str = "tsv") -> None:
-    """Write one user/item/tag line per attribution, in event order."""
-    delimiter = _delimiter(fmt)
+    """Write one user/item/tag line per attribution, in event order.
+
+    Every line is formatted and encoded before _create unlinks the old file,
+    so a name that cannot be encoded (or a failing events iterable) leaves
+    the old file, or none, in place.
+    """
+    text = StringIO()
+    writer = csv.writer(text, delimiter=_delimiter(fmt), lineterminator="\n")
+    writer.writerows((event.user, event.item, tag) for event in events for tag in event.tags)
+    document = text.getvalue().encode("utf-8")
     with _create(path) as fh:
-        writer = csv.writer(fh, delimiter=delimiter, lineterminator="\n")
-        for event in events:
-            for tag in event.tags:
-                writer.writerow([event.user, event.item, tag])
+        fh.buffer.write(document)
 
 
 def write_tree_json(tree: IslandTree, path, report: ActivityReport | None = None) -> None:
@@ -185,70 +188,74 @@ def write_tree_json(tree: IslandTree, path, report: ActivityReport | None = None
     pairs above U+FFFF), floats as Python's shortest repr and null for None.
     """
     _check_report(tree, report)
-    by_name = sorted(tree.names, key=tree.names.__getitem__)
-    rank = dict(zip(by_name, range(len(by_name))))
-    quoted = [encode_basestring_ascii(tree.names[m]) for m in by_name]
-    quoted_of = dict(zip(by_name, quoted))
-    island, sizes, characteristic = tree.layout
-    # Islands only refine, so one as large as its parent has its members: it
-    # takes the member text of its nearest ancestor that split, or the root's.
-    ids = np.arange(sizes.size)
-    source = np.where(sizes == sizes[tree.parent], tree.parent, ids)
-    source[0] = 0
-    while not np.array_equal(hop := source[source], source):
-        source = hop
-    split = source == ids
-    entries = split[island]
-    ranks = np.array([rank[m] for m in tree.members[entries].tolist()])
-    texts = [quoted[r] for r in ranks[np.lexsort((ranks, island[entries]))].tolist()]
-    bounds = np.r_[0, np.cumsum(sizes[split])].tolist()
-    distinct = [_array(texts[lo:hi], 6) for lo, hi in zip(bounds, bounds[1:])]
-    members = (np.cumsum(split) - 1)[source]  # each island's distinct text
-    phi = [json.dumps(p) for p in tree.levels]
-    # Indexed by level; the root's level, -1, reads the last entry.
-    level_text = list(map(str, range(len(phi)))) + ["-1"]
-    phi_text = phi + ["null"]
-    keys = ["characteristic", "id", "level", "members", "parent", "phi", "singleton", "size"]
+    group, first = _groups(tree, report)
+    node = tree.node[first]
+    names = [tree.names[m] for m in tree.ids.tolist()]
+    by_name = sorted(range(len(names)), key=names.__getitem__)
+    quoted = np.array([encode_basestring_ascii(names[k]) for k in by_name], object)
+    rank = np.argsort(by_name)[tree.node_ranks]  # each node entry's place by name
+    entries = quoted[tree.sorted_in_nodes(rank)].tolist()
+    bounds, sizes = tree.node_start.tolist(), np.diff(tree.node_start)[node].tolist()
+    values = {  # per text, each key's value; each members text is made as it is cut
+        "characteristic": quoted[rank[tree.node_start[node]]].tolist(),
+        "members": (_array(entries[bounds[j]:bounds[j + 1]], 6) for j in node.tolist()),
+        "singleton": ["true" if s == 1 else "false" for s in sizes],
+        "size": list(map(str, sizes)),
+    }
     if report is not None:
-        keys = sorted(keys + ["color", "p_sample", "p_user", "r"])
-    # A record is 2 * len(keys) texts, each key's literal then its value; the
-    # first literal closes the record before.
-    stride = 2 * len(keys)
-    literals = [f',\n      "{key}": ' for key in keys]
-    opening = "{" + literals[0][1:]
-    literals[0] = "\n    },\n    " + opening
-    template = [text for literal in literals for text in (literal, None)] * CHUNK_ISLANDS
-    # Never held whole: CHUNK_ISLANDS records at a time, beside one member text
-    # per island whose size is not its parent's.
+        activity = [report.records[k] for k in first.tolist()]
+        values["color"] = [_array(list(map(str, a.color)), 6) for a in activity]
+        values["p_sample"] = [json.dumps(a.p_sample) for a in activity]
+        values["p_user"] = [json.dumps(a.p_user) for a in activity]
+        values["r"] = [json.dumps(a.ratio) for a in activity]
+    # A record is 7 pieces: its text's head, id, level text, text's middle,
+    # parent, phi text and text's tail. The text is cut at the four numbers;
+    # sorted, "level" follows "id" and "phi" follows "parent", so the cuts
+    # leave those two literals for the level texts. A head closes the record
+    # before.
+    values.update(dict.fromkeys(["id", "level", "parent", "phi"], repeat("\0")))
+    parts = [part for key in sorted(values) for part in (repeat(f',\n      "{key}": '), values[key])]
+    close = "\n    },"
+    cut = [(close + "\n    {" + "".join(t)[1:]).split("\0") for t in zip(*parts)]
+    head, _, middle, _, tail = (np.array(piece, object) for piece in zip(*cut))
+    del cut, entries
+    phi = [json.dumps(p) for p in tree.levels]
+    level_text = np.array([f',\n      "level": {t}' for t in [*range(len(phi)), -1]], object)
+    phi_text = np.array([f',\n      "phi": {p}' for p in [*phi, "null"]], object)
+    # Never held whole: CHUNK_ISLANDS records at a time, beside the texts. The
+    # level texts are indexed by level: the root's, -1, reads the last entry.
     with _create(path) as fh:
         fh.write(f'{{\n  "family": {encode_basestring_ascii(tree.family)},\n  "islands": [')
-        for lo in range(0, sizes.size, CHUNK_ISLANDS):
-            hi = min(lo + CHUNK_ISLANDS, sizes.size)
-            level, size = tree.level[lo:hi].tolist(), sizes[lo:hi].tolist()
-            columns = {
-                "characteristic": map(quoted_of.__getitem__, characteristic[lo:hi].tolist()),
-                "id": map(str, range(lo, hi)),
-                "level": map(level_text.__getitem__, level),
-                "members": map(distinct.__getitem__, members[lo:hi].tolist()),
-                "parent": map(str, tree.parent[lo:hi].tolist()),
-                "phi": map(phi_text.__getitem__, level),
-                "singleton": ["true" if s == 1 else "false" for s in size],
-                "size": map(str, size),
-            }
-            if report is not None:
-                activity = [report.records[k] for k in range(lo, hi)]
-                columns["color"] = [_array(list(map(str, a.color)), 6) for a in activity]
-                columns["p_sample"] = [json.dumps(a.p_sample) for a in activity]
-                columns["p_user"] = [json.dumps(a.p_user) for a in activity]
-                columns["r"] = [json.dumps(a.ratio) for a in activity]
-            texts = template[:stride * (hi - lo)]
-            for k, key in enumerate(keys):
-                texts[2 * k + 1::stride] = columns[key]
+        for lo in range(0, group.size, CHUNK_ISLANDS):
+            hi = min(lo + CHUNK_ISLANDS, group.size)
+            at, level = group[lo:hi], tree.level[lo:hi]
+            texts = [None] * (7 * (hi - lo))
+            texts[0::7] = head[at].tolist()
+            texts[1::7] = map(str, range(lo, hi))
+            texts[2::7] = level_text[level].tolist()
+            texts[3::7] = middle[at].tolist()
+            texts[4::7] = map(str, tree.parent[lo:hi].tolist())
+            texts[5::7] = phi_text[level].tolist()
+            texts[6::7] = tail[at].tolist()
             if lo == 0:  # the root opens the list and has no parent
-                texts[0] = "\n    " + opening
-                texts[2 * keys.index("parent") + 1] = "null"
+                texts[0], texts[4] = texts[0][len(close):], "null"
             fh.write("".join(texts))
         fh.write(f'\n    }}\n  ],\n  "levels": {_array(phi, 2)},\n  "root": 0\n}}\n')
+
+
+def _groups(tree: IslandTree, report: ActivityReport | None) -> tuple[np.ndarray, np.ndarray]:
+    """Each island's text and each text's first island, for writers that format
+    a text once: one per node, whose islands share its members, or one per
+    island if the report's shares differ within a node (island_activity's do not)."""
+    new = np.flatnonzero(np.r_[True, tree.node[1:] != tree.node[tree.parent[1:]]])
+    first = np.empty_like(new)
+    first[tree.node[new]] = new
+    if report is not None:
+        shares = np.stack([report.p_sample, report.p_user])
+        same = shares[:, first][:, tree.node]
+        if not (np.array_equal(shares, same) and np.array_equal(np.signbit(shares), np.signbit(same))):
+            return np.arange(tree.node.size), np.arange(tree.node.size)
+    return tree.node, first
 
 
 def _array(items: list[str], indent: int) -> str:
@@ -271,29 +278,24 @@ def write_tree_dot(
     fill the nodes when a report is given.
     """
     _check_report(tree, report)
-    lines = [
-        "digraph islands {",
-        "  rankdir=TB;",
-        "  node [shape=square, fixedsize=true];",
-    ]
-    # A drawn island's parent is drawn too: it holds at least as many members.
-    edges = []
-    _, sizes, characteristic = tree.layout
-    drawn = (np.arange(sizes.size) if include_singletons
-             else np.flatnonzero((sizes > 1) | (tree.level < 0)))
-    rows = (a[drawn].tolist() for a in (tree.parent, sizes, characteristic))
-    for k, parent, size, member in zip(drawn.tolist(), *rows):
-        if parent >= 0:
-            edges.append(f"  n{parent} -> n{k};")
-        width = DOT_WIDTH_SCALE * math.sqrt(size)
-        label = tree.names[member].replace("\\", "\\\\").replace('"', '\\"')
-        attrs = [f'label="{label}"', f"width={width:.3f}", f"height={width:.3f}"]
+    group, first = _groups(tree, report)
+    node = tree.node[first]
+    size = np.diff(tree.node_start)[node].tolist()
+    member = tree.ids[tree.node_ranks[tree.node_start[node]]].tolist()
+    drawn = (np.arange(group.size) if include_singletons  # a drawn island's parent is drawn
+             else np.flatnonzero((np.diff(tree.node_start)[tree.node] > 1) | (tree.level < 0)))
+    ks, gs = drawn.tolist(), group[drawn].tolist()
+    attrs = dict.fromkeys(gs)  # each drawn text's attributes, formatted once
+    for g in attrs:
+        width = DOT_WIDTH_SCALE * math.sqrt(size[g])
+        label = tree.names[member[g]].replace("\\", "\\\\").replace('"', '\\"')
+        attrs[g] = f'label="{label}", width={width:.3f}, height={width:.3f}'
         if report is not None:
-            color = report.records[k].color
-            attrs.append("style=filled")
-            attrs.append(f'fillcolor="#{color[0]:02x}{color[1]:02x}{color[2]:02x}"')
-        lines.append(f"  n{k} [{', '.join(attrs)}];")
-    lines += edges
+            color = report.records[first[g]].color
+            attrs[g] += f', style=filled, fillcolor="#{color[0]:02x}{color[1]:02x}{color[2]:02x}"'
+    lines = ["digraph islands {", "  rankdir=TB;", "  node [shape=square, fixedsize=true];"]
+    lines += [f"  n{k} [{attrs[g]}];" for k, g in zip(ks, gs)]
+    lines += [f"  n{p} -> n{k};" for k, p in zip(ks, tree.parent[drawn].tolist()) if p >= 0]
     lines.append("}")
     document = ("\n".join(lines) + "\n").encode("utf-8")  # fails before _create unlinks
     with _create(path) as fh:

@@ -15,8 +15,7 @@ import logging
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
-from itertools import groupby
-from operator import add, itemgetter
+from operator import add
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
@@ -108,7 +107,7 @@ class Triples:
     users, items and tags are int32 codes into names, where names[0] is ""
     and tag -1 marks an event without tags. events numbers each row's event;
     None makes each distinct (user, item) pair one event, numbered by first
-    appearance. Iterating yields one TaggingEvent per event.
+    appearance.
     """
 
     names: list[str]
@@ -140,14 +139,6 @@ class Triples:
             events = np.repeat(_first_seen(pairs[runs])[1], np.diff(runs, append=len(pairs)))
         order = np.argsort(events, kind="stable")
         return [column[order] for column in (events, self.users, self.items, self.tags)]
-
-    def __iter__(self) -> Iterator[TaggingEvent]:
-        names = self.names
-        rows = zip(*(column.tolist() for column in self.grouped()))
-        for _, event in groupby(rows, itemgetter(0)):
-            _, user, item, tags = zip(*event)
-            tag_names = tuple(names[t] for t in tags if t >= 0)
-            yield TaggingEvent(names[user[0]], names[item[0]], tag_names)
 
 
 def _first_seen(keys: np.ndarray, size: int | None = None):

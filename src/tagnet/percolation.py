@@ -11,11 +11,15 @@ the number of levels they survive, hook each bucket's ends from the top level
 down, and read the groups off after each bucket. A link's bucket is
 arithmetic on its value and the grid, and each row block's links are written
 straight into bucket order, so the pass holds only the links' two ends.
-Islands only refine as phi grows, so the pass can run from the top down, and
-rows none of whose entries leave their islands at a level keep the island
-sums of the level above. The sums read each row block in column order: every
-row still adds its entries in ascending column order, so the bits are those
-of a row-by-row pass, but consecutive adds go to different rows.
+Islands only refine as phi grows, so rows none of whose entries leave their
+islands at a level keep the island sums of the level above, and an island
+that does not split keeps its parent's members, sums and order. The tree's
+nodes are its distinct member sets, those of the single-linkage merge tree:
+at most 2n - 1, whatever the grid. Only the nodes' members are sorted, the
+writers format each node once, and per-island member arrays are built only
+when asked for. The sums read each row block in column order: every row
+still adds its entries in ascending column order, so the bits are those of
+a row-by-row pass, but consecutive adds go to different rows.
 """
 
 from __future__ import annotations
@@ -98,19 +102,35 @@ class Island:
 class IslandTree:
     """Forest of islands across sweep levels, hung under a virtual root.
 
-    Island k has sweep level level[k], parent island parent[k] (both -1 for
-    the root, island 0) and member ids members[start[k]:start[k + 1]],
-    characteristic element first, in (level, smallest member id) order.
-    names maps member ids to their external names for exporters.
+    Island k has sweep level level[k] and parent island parent[k] (both -1 for
+    the root, island 0), in (level, smallest member id) order, and the members
+    of node node[k]: ids[node_ranks[node_start[j]:node_start[j + 1]]] for
+    j = node[k], characteristic element first. The nodes are the distinct
+    member sets, in (smallest member, first level) order. ids holds the member
+    ids ascending, as the matrix does; names maps them to external names. The
+    per-island views members and start (island k's members are
+    members[start[k]:start[k + 1]]), layout and islands are built on first use.
     """
 
     family: str
     levels: list[float]
     names: dict[int, str]
+    ids: np.ndarray
     level: np.ndarray
     parent: np.ndarray
-    members: np.ndarray
-    start: np.ndarray
+    node: np.ndarray
+    node_ranks: np.ndarray
+    node_start: np.ndarray
+
+    @cached_property
+    def start(self) -> np.ndarray:
+        return np.r_[0, np.cumsum(np.diff(self.node_start)[self.node])]
+
+    @cached_property
+    def members(self) -> np.ndarray:
+        sizes = np.diff(self.start)
+        shift = np.repeat(self.node_start[self.node] - self.start[:-1], sizes)
+        return self.ids[self.node_ranks[np.arange(self.start[-1]) + shift]]
 
     @cached_property
     def islands(self) -> list[Island]:
@@ -123,34 +143,34 @@ class IslandTree:
             for k, (level, parent, lo, hi) in enumerate(rows)
         ]
 
-    @property
-    def root(self) -> Island:
-        return self.islands[0]
-
-    def islands_at(self, level: int) -> list[Island]:
-        return [isl for isl in self.islands if isl.level == level]
-
     @cached_property
     def layout(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(island of each entry of members, island sizes, characteristic ids)."""
-        sizes = np.diff(self.start)
+        sizes = np.diff(self.node_start)[self.node]
         island = np.repeat(np.arange(sizes.size), sizes)
-        return island, sizes, self.members[self.start[:-1]]
+        return island, sizes, self.ids[self.node_ranks[self.node_start[:-1]]][self.node]
+
+    @cached_property
+    def entry_node(self) -> np.ndarray:
+        return np.repeat(np.arange(self.node_start.size - 1), np.diff(self.node_start))
+
+    def sorted_in_nodes(self, keys: np.ndarray) -> np.ndarray:
+        """keys, one in range(len(ids)) per node entry, sorted within each node."""
+        return np.sort(self.entry_node * self.ids.size + keys) % self.ids.size
 
     @cached_property
     def sum_index(self) -> tuple[list[int], np.ndarray]:
-        """Root's ids ascending; each entry's index there, in (island, id) order."""
-        ids = np.sort(self.members[:self.start[1]])
-        at = np.searchsorted(ids, self.members)
-        return ids.tolist(), at[np.lexsort((at, self.layout[0]))]
+        """The ids; each node's entries' indices there, ascending in each node."""
+        return self.ids.tolist(), self.sorted_in_nodes(self.node_ranks)
 
     def island_sums(self, *weights: dict[int, float]) -> list[np.ndarray]:
         """Each island's summed member weight per mapping (absent members add
         0), added one member at a time in ascending id order from 0.0. Each
-        mapping is read once per sum_index id, then gathered for bincount."""
-        island, (ids, column) = self.layout[0], self.sum_index
+        mapping is read once per id; bincount sums each node's entries once,
+        and the islands take their node's sums."""
+        ids, column = self.sum_index
         vectors = (np.array([w.get(m, 0) for m in ids]) for w in weights)
-        return [np.bincount(island, x[column]) for x in vectors]
+        return [np.bincount(self.entry_node, x[column])[self.node] for x in vectors]
 
 
 def build_tree(C: CorrelationMatrix, grid: FilterGrid | None = None) -> IslandTree:
@@ -162,31 +182,24 @@ def build_tree(C: CorrelationMatrix, grid: FilterGrid | None = None) -> IslandTr
     the largest off-diagonal value, where every island is a singleton, or
     up to the last phi below 1, whichever comes first. The terminal
     all-singleton level is kept in the structure; exporters decide whether
-    to draw it.
+    to draw it. Every island's characteristic element is the member whose
+    summed correlation to the island, added up in ascending id order from 0.0
+    one term at a time with the diagonal included, is the largest, ties to
+    the smallest id; the other members follow by the same sums.
 
-    The islands come from one single-linkage pass: the links above
-    grid.start are bucketed by the number of levels whose phi they exceed
-    (FilterGrid.bucket), one row block at a time, and their ends are written
-    straight into bucket order. From the top level down each bucket's links
-    are joined by array hooking (Shiloach & Vishkin 1982): each round hooks
-    the larger root of every link still across two groups onto the smallest
-    root it meets there by np.minimum.at (a plain assignment keeps an
-    arbitrary write, and a star centred on its largest id then takes a round
-    per leaf), and follows pointers until each index maps straight to its
-    root.
-    A row block none of whose entries leaves its island at a level copies
-    the level above's sums, which would add the same entries in the same
-    order. Every island's characteristic element is the member whose summed
-    correlation to the island, added up in ascending id order from 0.0 one
-    term at a time with the diagonal included, is the largest, ties to the
-    smallest id; the other members follow by the same sums. Each row block
-    is summed in column order: its CSC form lists every row's entries in
-    ascending column order whatever order the CSR rows store them in, and
-    bincount adds each bin's terms in array order, so each sum is that same
-    left fold. C.values is read, not changed. Values must lie in [0, 1], and
-    C must be symmetric: links are read from the upper triangle only, while
-    the sums read both. An asymmetric hand-built CSR is not detected, since
-    checking would cost a transposed copy of C.
+    Links join by array hooking (Shiloach & Vishkin 1982), a bucket at a time
+    from the top level down: each round hooks the larger root of every link
+    still across two groups onto the smallest root it meets there by
+    np.minimum.at (a plain assignment keeps an arbitrary write, and a star
+    centred on its largest id then takes a round per leaf), and follows
+    pointers until each index maps straight to its root. A row block's CSC
+    form lists every row's entries in ascending column order, whatever order
+    the CSR rows store them in, and bincount adds each bin's terms in array
+    order, so each sum is that left fold. C.values is read, not changed.
+    Values must lie in [0, 1], and C must be symmetric: links are read from
+    the upper triangle only, while the sums read both. An asymmetric
+    hand-built CSR is not detected, since checking would cost a transposed
+    copy of C.
     """
     if C.size == 0:
         raise ValueError("cannot sweep an empty matrix")
@@ -236,12 +249,13 @@ def build_tree(C: CorrelationMatrix, grid: FilterGrid | None = None) -> IslandTr
         labels[t + 1] = root + (t + 1) * n
     del ii, jj
 
-    # split[t - 1, b]: a row of block b is in an island of labels[t - 1] that
-    # splits in labels[t]. A block with none keeps its entries inside their islands.
+    # moved[t - 1, r]: r's island in labels[t - 1] splits in labels[t]; split[t - 1, b]:
+    # some row of block b moved. A block with none keeps its entries inside their islands.
     above, below = labels[:-1], labels[1:] - n
     splits = np.zeros(labels.size, dtype=bool)
     splits[above[above != below]] = True
-    split = np.logical_or.reduceat(splits[above], np.arange(0, n, BLOCK_ROWS), axis=1)
+    moved = splits[above]
+    split = np.logical_or.reduceat(moved, np.arange(0, n, BLOCK_ROWS), axis=1)
     del above, below, splits
 
     # sums[t] sums each row over its island in labels[t]. Islands only refine, so
@@ -268,17 +282,41 @@ def build_tree(C: CorrelationMatrix, grid: FilterGrid | None = None) -> IslandTr
                     continue
             sums[t, lo:hi] = sums[t - 1, lo:hi]
 
-    # Islands in (level, smallest member id) order, each best member first.
-    key = labels.ravel()
-    ranked = np.lexsort((-sums.ravel(), key))
-    grouped = key[ranked]
-    start = np.flatnonzero(np.r_[True, grouped[1:] != grouped[:-1], True])
-    heads = grouped[start[:-1]]
-    # An island's parent holds its first member one level up, n cells back.
-    parent = np.r_[-1, np.searchsorted(heads, key[ranked[start[1:-1]] - n])]
-    members = np.asarray(C.members)[ranked % n]
+    # The nodes, one per distinct member set: the cells of the root row and those
+    # whose island a row up split. Node j is alive from row first[j] to last[j];
+    # the nodes run in (smallest rank, first row) order, each best member first.
+    rows = len(labels)
+    cells = np.flatnonzero(np.r_[np.ones(n, bool), moved.ravel()])
+    key = labels.ravel()[cells]
+    key = key % n * rows + key // n
+    order = np.lexsort((-sums.ravel()[cells], key))
+    ranked, key = cells[order] % n, key[order]
+    del sums, moved, cells, order
+    node_start = np.flatnonzero(np.r_[True, key[1:] != key[:-1], True])
+    key = key[node_start[:-1]]
+    head, first = np.divmod(key, rows)
+    # A node's parent is the last node to begin, at or above the row over its
+    # first, with the smallest rank of the island that holds its head there.
+    node_parent = np.searchsorted(key, labels[first - 1, head] % n * rows + first - 1, "right") - 1
+    node_parent[0] = -1  # the root node
+    del labels
+    last = np.full(key.size, rows - 1)
+    last[node_parent[1:]] = first[1:] - 1
+    # The islands: each row's live nodes, in order. An island's parent is its
+    # node's island a row up, or its parent node's.
+    t = np.arange(rows)[:, None]
+    alive = (first <= t) & (t <= last)
+    row, node = np.divmod(np.flatnonzero(alive), key.size)
+    mate = np.where(first[node] < row, node, node_parent[node])
+    row -= 1  # the level
+    mate += row * key.size
+    index = np.cumsum(alive.ravel(), dtype=np.min_scalar_type(-alive.size))  # 1 + island
+    parent = index[mate].astype(np.intp)
+    parent -= 1
+    parent[0] = -1  # the root's mate, a row above row 0, wraps around
     names = {m: C.names[k] for k, m in enumerate(C.members)}
-    return IslandTree(C.family, levels, names, heads // n - 1, parent, members, start)
+    return IslandTree(C.family, levels, names, np.asarray(C.members), row, parent, node,
+                      ranked, node_start)
 
 
 def _blocks(csr: sp.csr_matrix):

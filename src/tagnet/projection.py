@@ -120,9 +120,6 @@ class _MemberIndex:
     def index_of(self, member_id: int) -> int:
         return self._index[member_id]
 
-    def value(self, a: int, b: int) -> float:
-        return float(self.values[self._index[a], self._index[b]])
-
 
 @dataclass
 class CorrelationMatrix(_MemberIndex):
@@ -130,7 +127,7 @@ class CorrelationMatrix(_MemberIndex):
 
     Values are in [0, 1]; the diagonal is 1 for members with a nonzero
     signature and 0 for flagged zero-signature members. correlation_matrix
-    stores scipy CSR; from_dense and hand-built matrices may hold an ndarray.
+    stores scipy CSR; hand-built matrices may hold an ndarray.
     """
 
     family: str
@@ -151,35 +148,6 @@ class CorrelationMatrix(_MemberIndex):
     def dense(self) -> np.ndarray:
         """The values as an ndarray: the stored one, or a copy of the CSR."""
         return self.values if self.is_dense else self.values.toarray()
-
-    @classmethod
-    def from_dense(
-        cls,
-        values,
-        names: list[str] | None = None,
-        family: str = TAG,
-        view: str = "direct",
-    ) -> "CorrelationMatrix":
-        """Wrap a raw symmetric array; members are 0..n-1.
-
-        Rows whose diagonal is 0 are flagged as zero-signature members.
-        Values must be finite, lie in [0, 1] and be exactly symmetric.
-        """
-        arr = np.array(values, dtype=float)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise ValueError("expected a square matrix")
-        if not np.isfinite(arr).all():
-            raise ValueError("correlation values must be finite")
-        if arr.size and (arr.min() < 0.0 or arr.max() > 1.0):
-            raise ValueError("correlation values must lie in [0, 1]")
-        if not np.array_equal(arr, arr.T):
-            raise ValueError("correlation matrix must be symmetric")
-        n = arr.shape[0]
-        members = list(range(n))
-        if names is None:
-            names = [f"m{k}" for k in members]
-        zero = frozenset(k for k in members if arr[k, k] == 0.0)
-        return cls(family, view, members, list(names), arr, zero)
 
 
 def correlation_matrix(

@@ -1,6 +1,8 @@
 import json
 import math
 import os
+import stat
+import threading
 
 import numpy as np
 import pytest
@@ -473,3 +475,48 @@ def test_dot_name_that_cannot_be_encoded_leaves_the_old_file_alone(tmp_path, old
     with pytest.raises(UnicodeEncodeError):
         write_tree_dot(build_tree(C), path, include_singletons=True)
     assert (path.read_bytes() if path.exists() else None) == old
+
+
+# -- write_triples keeps the old file until every line is encoded ---------------
+
+@pytest.mark.parametrize("old", [b"OLD CONTENT\n", None])
+def test_triples_name_that_cannot_be_encoded_leaves_the_old_file_alone(tmp_path, old):
+    path = tmp_path / "t.tsv"
+    if old is not None:
+        path.write_bytes(old)
+    before = sorted(os.listdir(tmp_path))
+    with pytest.raises(UnicodeEncodeError):
+        write_triples([ev("a", "b", "x"), ev("\ud800", "b", "y")], path)
+    assert (path.read_bytes() if path.exists() else None) == old
+    assert sorted(os.listdir(tmp_path)) == before  # no stray file
+
+
+def test_triples_are_written_through_a_fifo(tmp_path):
+    path = tmp_path / "t.fifo"
+    os.mkfifo(path)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(path.read_bytes()))
+    reader.start()
+    write_triples([ev("u", "i", "a", "b")], path)
+    reader.join(timeout=10)
+    assert received == [b"u\ti\ta\nu\ti\tb\n"]
+    assert stat.S_ISFIFO(os.lstat(path).st_mode)
+    assert sorted(os.listdir(tmp_path)) == ["t.fifo"]
+
+
+# -- the writers format one text per node -------------------------------------
+
+def test_writers_share_node_texts_unless_the_report_differs_within_a_node():
+    tree = CHAIN
+    group, first = tagnet.io._groups(tree, None)
+    assert group is tree.node and first.tolist() == [
+        min(k for k in range(len(tree.level)) if tree.node[k] == j)
+        for j in range(tree.node_start.size - 1)]
+    assert tagnet.io._groups(tree, _sparse_sample_report(tree))[0] is tree.node
+    shares = np.arange(len(tree.level), dtype=float)  # one share per island
+    per_island = tagnet.io._groups(tree, ActivityReport("u", shares, shares))
+    assert [a.tolist() for a in per_island] == [list(range(len(tree.level)))] * 2
+    # 0.0 and -0.0 compare equal but print apart, so they differ too.
+    signed = np.zeros(len(tree.level))
+    signed[np.flatnonzero(tree.node == np.bincount(tree.node).argmax())[1:]] = -0.0
+    assert tagnet.io._groups(tree, ActivityReport("u", signed, signed))[0] is not tree.node

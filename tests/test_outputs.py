@@ -5,8 +5,9 @@ A planted corpus of 6,000 events (its tag tree has 274 islands) runs through
 sha256 recorded here. The digests were taken while the tree was still built
 as one Island record per island, so a change to the sweep, the tree's arrays
 or the writers that moves a single byte fails here. Every run also patches
-IslandTree.islands to raise: the CLI reads the tree's arrays and never builds
-Island records.
+IslandTree.islands to raise, and every CLI run makes the per-island members,
+start and layout views raise too: the CLI reads the tree's nodes and never
+builds Island records or per-island member arrays.
 """
 
 import dataclasses
@@ -17,6 +18,7 @@ import pytest
 
 import tagnet.cli
 from tagnet import (
+    CorrelationMatrix,
     FilterGrid,
     IslandTree,
     PlantedConfig,
@@ -41,6 +43,14 @@ DIGESTS = {
     "user.dot": "c8f28e6f06e85fb14d1af930e8d340d93412ae9b92d2a8935f5fa81f9674578f",
 }
 USER_STDOUT = "user: u2_7\nentropy: 2.729459\ndiversity: 1503.297009\n"
+# `tagnet tree --phi-step 0.01 --include-singletons` per family, recorded while
+# every island still had its own member entries.
+FINE_DIGESTS = {
+    "users.json": "b534ffcdf88eda2b0a817371cba679cd18b9e57c099a777fea7f1a0d8974e863",
+    "users.dot": "9d64c07a9197dcd97a2fe8dccb1b9a0abede405b42512689829c59abac6f9f83",
+    "tags.json": "601d6dd47d7c36b41d97f6a8893172d34254335148e5332e7d43feaf2f830585",
+    "tags.dot": "0f8bd4a68bd26c86600261b09c2f32b27d3e57d0d85f154270f3bb5c36caa993",
+}
 
 # No file pins the order of an island's members after the first (JSON sorts
 # them by name, DOT shows the characteristic element only), so the sweep's
@@ -78,8 +88,19 @@ def no_island_records(monkeypatch):
     monkeypatch.setattr(IslandTree, "islands", property(refuse))
 
 
+def refuse_island_views(patch):
+    """Make the per-island views raise: the CLI reads the tree's nodes."""
+    for view in ("members", "start", "layout"):
+        def refuse(tree, view=view):
+            raise AssertionError(f"the CLI built IslandTree.{view}")
+
+        patch.setattr(IslandTree, view, property(refuse))
+
+
 def run(capsys, *argv):
-    assert main(list(argv)) == EXIT_OK
+    with pytest.MonkeyPatch.context() as patch:  # the sweep's own tests read the views
+        refuse_island_views(patch)
+        assert main(list(argv)) == EXIT_OK
     out, err = capsys.readouterr()
     assert err == ""
     return out
@@ -138,3 +159,22 @@ def test_sweep_arrays_are_pinned(corpus, family):
         for name in ARRAY_DIGESTS[family]
     }
     assert digests == ARRAY_DIGESTS[family]
+
+
+@pytest.mark.parametrize("family", ["users", "tags"])
+def test_fine_grid_tree_with_singletons_is_pinned(corpus, tmp_path, capsys, family):
+    run(capsys, "tree", "--input", corpus, "--family", family, "--phi-step", "0.01",
+        "--include-singletons", "--out-json", str(tmp_path / f"{family}.json"),
+        "--out-dot", str(tmp_path / f"{family}.dot"))
+    for name in (f"{family}.json", f"{family}.dot"):
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == FINE_DIGESTS[name]
+
+
+def test_island_view_guard_refuses_what_it_names():
+    tree = build_tree(CorrelationMatrix.from_dense(np.eye(2)))
+    with pytest.MonkeyPatch.context() as patch:
+        refuse_island_views(patch)
+        for view in ("members", "start", "layout"):
+            with pytest.raises(AssertionError, match=view):
+                getattr(tree, view)
+    assert tree.members.tolist() == [0, 1, 0, 1]

@@ -1,11 +1,14 @@
 import contextlib
 import dataclasses
 import functools
+import importlib.util
 import json
 import math
 import operator
+import pathlib
 import random
 import signal
+import sys
 
 import numpy as np
 import pytest
@@ -17,8 +20,10 @@ import tagnet.percolation
 from tagnet import (
     CorrelationMatrix,
     FilterGrid,
+    build_network,
     build_tree,
     correlation_matrix,
+    read_triples,
     write_tree_json,
 )
 
@@ -682,3 +687,115 @@ def test_join_hooks_a_star_centred_on_its_largest_id_in_a_few_rounds():
     with ends_within(1.0):
         tagnet.percolation._join(root, np.full(n - 1, n - 1), np.arange(n - 1))
     assert not root.any()
+
+
+# -- the merge tree: nodes against a minimum spanning tree ----------------------
+
+def merge_buckets(C, grid):
+    """Each pair's merge bucket, the number of levels from the top on which
+    the pair shares an island: the smallest link bucket on the pair's path in
+    a minimum spanning tree of the links' negated integer bucket codes (a
+    maximum spanning tree of the buckets). Integer weights leave no rounding.
+    csgraph is imported here only: tagnet keeps it out (+11 MB on import)."""
+    from scipy.sparse.csgraph import minimum_spanning_tree
+
+    n, values = C.size, C.dense()
+    i, j = np.triu_indices(n, 1)
+    keep = values[i, j] > grid.start
+    codes = grid.bucket(values[i, j][keep]).astype(np.int64)
+    assert (codes >= 1).all()  # explicit zeros would be dropped as no link
+    forest = minimum_spanning_tree(sp.csr_matrix((-codes, (i[keep], j[keep])), shape=(n, n)))
+    adjacent = {k: [] for k in range(n)}
+    for a, b, w in zip(*sp.find(forest)):
+        adjacent[a].append((b, -int(w)))
+        adjacent[b].append((a, -int(w)))
+    merge = np.zeros((n, n), np.int64)
+    for source in range(n):
+        merge[source, source] = grid.size + 1  # together on every level
+        stack = [(source, grid.size + 1)]
+        while stack:
+            a, low = stack.pop()
+            for b, w in adjacent[a]:
+                if b != source and merge[source, b] == 0:
+                    merge[source, b] = min(low, w)
+                    stack.append((b, min(low, w)))
+    return merge, int(codes.max(initial=0))
+
+
+def oracle_nodes(C, grid):
+    """(level count, {member set: [first level, last level]}) of the distinct
+    islands, from merge_buckets: at level t the islands are the classes of
+    merge > t, and the root, at level -1, holds every member."""
+    merge, top = merge_buckets(C, grid)
+    count = min(top + 1, grid.size)
+    nodes = {frozenset(C.members): [-1, -1]}
+    for t in range(count):
+        placed = np.zeros(C.size, bool)
+        for k in range(C.size):
+            if not placed[k]:
+                mates = np.flatnonzero(merge[k] > t)
+                placed[mates] = True
+                nodes.setdefault(frozenset(C.members[m] for m in mates), [t, t])[1] = t
+    return count, nodes
+
+
+def check_nodes(C, grid, tree):
+    count, expected = oracle_nodes(C, grid)
+    assert len(tree.levels) == count
+    bounds = tree.node_start.tolist()
+    sets = [frozenset(tree.ids[tree.node_ranks[lo:hi]].tolist()) for lo, hi in zip(bounds, bounds[1:])]
+    spans = {s: [tree.level[tree.node == j].min(), tree.level[tree.node == j].max()]
+             for j, s in enumerate(sets)}
+    assert spans == expected
+    assert len(sets) == len(expected) <= 2 * C.size - 1
+    # Each node's islands are consecutive levels; a node that splits is the
+    # union of its children, the nodes whose first island's parent it holds.
+    children = {}
+    for k in range(1, len(tree.level)):
+        node, above = tree.node[k], tree.node[tree.parent[k]]
+        assert tree.level[tree.parent[k]] == tree.level[k] - 1
+        if node != above:
+            children.setdefault(above, set()).add(node)
+    for j, kids in children.items():
+        assert frozenset().union(*(sets[k] for k in kids)) == sets[j]
+        assert sum(len(sets[k]) for k in kids) == len(sets[j])
+    assert [tree.node[tree.parent[k]] != tree.node[k] for k in range(1, len(tree.level))].count(True) \
+        == len(sets) - 1
+
+
+@given(C=stored_matrices(), grid=grids)
+@example(C=CorrelationMatrix.from_dense(SAME_PARTITION_ACROSS_LEVELS), grid=FilterGrid())
+def test_nodes_match_the_merge_levels_of_a_spanning_tree(C, grid):
+    check_nodes(C, grid, sweep_in_two_row_blocks(C, grid))
+
+
+@functools.cache
+def bench_corpus_module():
+    """bench/corpus.py, the generator of the benchmark's heavy-tailed corpora,
+    loaded once as the module bench_corpus."""
+    path = pathlib.Path(__file__).resolve().parents[1] / "bench" / "corpus.py"
+    spec = importlib.util.spec_from_file_location("bench_corpus", path)
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)  # its dataclasses look their module up
+    return module
+
+
+# The bench's user-tree and tag-tree corpora, scaled down: Pareto library
+# sizes, Zipf items and tags, planted communities.
+SMALL_BENCH_SPECS = [
+    dict(users=150, communities=5, tags_per_community=8, items_per_community=30,
+         min_library=2, max_library=60, library_alpha=1.2),
+    dict(users=200, communities=6, tags_per_community=10, items_per_community=40,
+         min_library=5, max_library=80, library_alpha=1.5),
+]
+
+
+@pytest.mark.parametrize("family", ["user", "tag"])
+@pytest.mark.parametrize("spec", SMALL_BENCH_SPECS)
+def test_nodes_match_the_merge_levels_on_bench_shaped_corpora(tmp_path, spec, family):
+    corpus = bench_corpus_module()
+    generated = corpus.generate(corpus.CorpusSpec(**spec), 1)
+    generated.write(tmp_path / "triples.tsv")
+    C = correlation_matrix(build_network(read_triples(tmp_path / "triples.tsv")), family)
+    for grid in (FilterGrid(), FilterGrid(0.0, 0.01)):
+        check_nodes(C, grid, build_tree(C, grid))
