@@ -9,7 +9,7 @@ import math
 import os
 import stat
 from io import StringIO, TextIOWrapper
-from itertools import chain, islice, repeat
+from itertools import chain, islice
 from json.encoder import encode_basestring_ascii
 from typing import Iterable
 
@@ -186,49 +186,45 @@ def write_tree_json(tree: IslandTree, path, report: ActivityReport | None = None
     bytes are json.dump(doc, indent=2, sort_keys=True)'s plus a final newline:
     sorted keys, a two-space indent, ASCII with \\uXXXX escapes (surrogate
     pairs above U+FFFF), floats as Python's shortest repr and null for None.
+    The islands of one node share its members and, in a report, its shares
+    (see _check_report), so each node's text is formatted once.
     """
     _check_report(tree, report)
-    group, first = _groups(tree, report)
-    node = tree.node[first]
     names = [tree.names[m] for m in tree.ids.tolist()]
     by_name = sorted(range(len(names)), key=names.__getitem__)
     quoted = np.array([encode_basestring_ascii(names[k]) for k in by_name], object)
     rank = np.argsort(by_name)[tree.node_ranks]  # each node entry's place by name
     entries = quoted[tree.sorted_in_nodes(rank)].tolist()
-    bounds, sizes = tree.node_start.tolist(), np.diff(tree.node_start)[node].tolist()
-    values = {  # per text, each key's value; each members text is made as it is cut
-        "characteristic": quoted[rank[tree.node_start[node]]].tolist(),
-        "members": (_array(entries[bounds[j]:bounds[j + 1]], 6) for j in node.tolist()),
-        "singleton": ["true" if s == 1 else "false" for s in sizes],
-        "size": list(map(str, sizes)),
-    }
+    bounds, sizes = tree.node_start.tolist(), np.diff(tree.node_start).tolist()
+    # A record is 7 pieces, its keys in sorted order: its node's head, id, level
+    # text, node's middle, parent, phi text and node's tail. A head closes the
+    # record before.
+    close, key = "\n    },", ",\n      "
+    color = shares = ratio = [""] * len(sizes)
     if report is not None:
-        activity = [report.records[k] for k in first.tolist()]
-        values["color"] = [_array(list(map(str, a.color)), 6) for a in activity]
-        values["p_sample"] = [json.dumps(a.p_sample) for a in activity]
-        values["p_user"] = [json.dumps(a.p_user) for a in activity]
-        values["r"] = [json.dumps(a.ratio) for a in activity]
-    # A record is 7 pieces: its text's head, id, level text, text's middle,
-    # parent, phi text and text's tail. The text is cut at the four numbers;
-    # sorted, "level" follows "id" and "phi" follows "parent", so the cuts
-    # leave those two literals for the level texts. A head closes the record
-    # before.
-    values.update(dict.fromkeys(["id", "level", "parent", "phi"], repeat("\0")))
-    parts = [part for key in sorted(values) for part in (repeat(f',\n      "{key}": '), values[key])]
-    close = "\n    },"
-    cut = [(close + "\n    {" + "".join(t)[1:]).split("\0") for t in zip(*parts)]
-    head, _, middle, _, tail = (np.array(piece, object) for piece in zip(*cut))
-    del cut, entries
+        activity = [report.records[k] for k in tree.node_first.tolist()]
+        color = [f'{key}"color": {_array(list(map(str, a.color)), 6)}' for a in activity]
+        shares = [f'{key}"p_sample": {json.dumps(a.p_sample)}{key}"p_user": {json.dumps(a.p_user)}'
+                  for a in activity]
+        ratio = [f'{key}"r": {json.dumps(a.ratio)}' for a in activity]
+    chars = quoted[rank[tree.node_start[:-1]]].tolist()
+    head = np.array([f'{close}\n    {{\n      "characteristic": {c}{k}{key}"id": '
+                     for c, k in zip(chars, color)], object)
+    middle = np.array([f'{key}"members": {_array(entries[lo:hi], 6)}{s}{key}"parent": '
+                       for lo, hi, s in zip(bounds, bounds[1:], shares)], object)
+    tail = np.array([f'{r}{key}"singleton": {"true" if n == 1 else "false"}{key}"size": {n}'
+                     for r, n in zip(ratio, sizes)], object)
+    del entries
     phi = [json.dumps(p) for p in tree.levels]
-    level_text = np.array([f',\n      "level": {t}' for t in [*range(len(phi)), -1]], object)
-    phi_text = np.array([f',\n      "phi": {p}' for p in [*phi, "null"]], object)
+    level_text = np.array([f'{key}"level": {t}' for t in [*range(len(phi)), -1]], object)
+    phi_text = np.array([f'{key}"phi": {p}' for p in [*phi, "null"]], object)
     # Never held whole: CHUNK_ISLANDS records at a time, beside the texts. The
     # level texts are indexed by level: the root's, -1, reads the last entry.
     with _create(path) as fh:
         fh.write(f'{{\n  "family": {encode_basestring_ascii(tree.family)},\n  "islands": [')
-        for lo in range(0, group.size, CHUNK_ISLANDS):
-            hi = min(lo + CHUNK_ISLANDS, group.size)
-            at, level = group[lo:hi], tree.level[lo:hi]
+        for lo in range(0, tree.node.size, CHUNK_ISLANDS):
+            hi = min(lo + CHUNK_ISLANDS, tree.node.size)
+            at, level = tree.node[lo:hi], tree.level[lo:hi]
             texts = [None] * (7 * (hi - lo))
             texts[0::7] = head[at].tolist()
             texts[1::7] = map(str, range(lo, hi))
@@ -241,21 +237,6 @@ def write_tree_json(tree: IslandTree, path, report: ActivityReport | None = None
                 texts[0], texts[4] = texts[0][len(close):], "null"
             fh.write("".join(texts))
         fh.write(f'\n    }}\n  ],\n  "levels": {_array(phi, 2)},\n  "root": 0\n}}\n')
-
-
-def _groups(tree: IslandTree, report: ActivityReport | None) -> tuple[np.ndarray, np.ndarray]:
-    """Each island's text and each text's first island, for writers that format
-    a text once: one per node, whose islands share its members, or one per
-    island if the report's shares differ within a node (island_activity's do not)."""
-    new = np.flatnonzero(np.r_[True, tree.node[1:] != tree.node[tree.parent[1:]]])
-    first = np.empty_like(new)
-    first[tree.node[new]] = new
-    if report is not None:
-        shares = np.stack([report.p_sample, report.p_user])
-        same = shares[:, first][:, tree.node]
-        if not (np.array_equal(shares, same) and np.array_equal(np.signbit(shares), np.signbit(same))):
-            return np.arange(tree.node.size), np.arange(tree.node.size)
-    return tree.node, first
 
 
 def _array(items: list[str], indent: int) -> str:
@@ -278,23 +259,21 @@ def write_tree_dot(
     fill the nodes when a report is given.
     """
     _check_report(tree, report)
-    group, first = _groups(tree, report)
-    node = tree.node[first]
-    size = np.diff(tree.node_start)[node].tolist()
-    member = tree.ids[tree.node_ranks[tree.node_start[node]]].tolist()
-    drawn = (np.arange(group.size) if include_singletons  # a drawn island's parent is drawn
+    size = np.diff(tree.node_start).tolist()
+    member = tree.ids[tree.node_ranks[tree.node_start[:-1]]].tolist()
+    drawn = (np.arange(tree.node.size) if include_singletons  # a drawn island's parent is drawn
              else np.flatnonzero((np.diff(tree.node_start)[tree.node] > 1) | (tree.level < 0)))
-    ks, gs = drawn.tolist(), group[drawn].tolist()
-    attrs = dict.fromkeys(gs)  # each drawn text's attributes, formatted once
-    for g in attrs:
-        width = DOT_WIDTH_SCALE * math.sqrt(size[g])
-        label = tree.names[member[g]].replace("\\", "\\\\").replace('"', '\\"')
-        attrs[g] = f'label="{label}", width={width:.3f}, height={width:.3f}'
+    ks, js = drawn.tolist(), tree.node[drawn].tolist()
+    attrs = dict.fromkeys(js)  # each drawn node's attributes, formatted once
+    for j in attrs:
+        width = DOT_WIDTH_SCALE * math.sqrt(size[j])
+        label = tree.names[member[j]].replace("\\", "\\\\").replace('"', '\\"')
+        attrs[j] = f'label="{label}", width={width:.3f}, height={width:.3f}'
         if report is not None:
-            color = report.records[first[g]].color
-            attrs[g] += f', style=filled, fillcolor="#{color[0]:02x}{color[1]:02x}{color[2]:02x}"'
+            color = report.records[tree.node_first[j]].color
+            attrs[j] += f', style=filled, fillcolor="#{color[0]:02x}{color[1]:02x}{color[2]:02x}"'
     lines = ["digraph islands {", "  rankdir=TB;", "  node [shape=square, fixedsize=true];"]
-    lines += [f"  n{k} [{attrs[g]}];" for k, g in zip(ks, gs)]
+    lines += [f"  n{k} [{attrs[j]}];" for k, j in zip(ks, js)]
     lines += [f"  n{p} -> n{k};" for k, p in zip(ks, tree.parent[drawn].tolist()) if p >= 0]
     lines.append("}")
     document = ("\n".join(lines) + "\n").encode("utf-8")  # fails before _create unlinks
@@ -303,5 +282,18 @@ def write_tree_dot(
 
 
 def _check_report(tree: IslandTree, report: ActivityReport | None) -> None:
-    if report is not None and report.records.keys() != set(range(len(tree.level))):
+    """Reject a report that does not cover the tree, holds a share that is NaN,
+    infinite or negative (JSON has no text for the first two), or whose shares
+    differ between the islands of one node: the writers format one text per
+    node. Shares compare bit for bit, since 0.0 and -0.0 print apart.
+    island_activity's islands share their node's sums, so its reports pass."""
+    if report is None:
+        return
+    shares = np.stack([report.p_sample, report.p_user]).astype(float)
+    if not ((0.0 <= shares) & (shares < np.inf)).all():  # before records reads them
+        raise ValueError("activity shares must be finite and nonnegative")
+    if report.records.keys() != set(range(len(tree.level))):
         raise ValueError("activity report does not cover this tree")
+    bits = shares.view(np.int64)
+    if not np.array_equal(bits, bits[:, tree.node_first[tree.node]]):
+        raise ValueError("activity shares differ between islands of one node")

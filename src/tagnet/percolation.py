@@ -9,17 +9,18 @@ The islands at phi are the components of the graph {C > phi}, so every level
 comes out of one single-linkage pass (Gower & Ross 1969): bucket the links by
 the number of levels they survive, hook each bucket's ends from the top level
 down, and read the groups off after each bucket. A link's bucket is
-arithmetic on its value and the grid, and each row block's links are written
-straight into bucket order, so the pass holds only the links' two ends.
+arithmetic on its value and the grid, and each row block sorts its links by
+bucket as it is read, so the pass holds only the links' two ends.
 Islands only refine as phi grows, so rows none of whose entries leave their
 islands at a level keep the island sums of the level above, and an island
 that does not split keeps its parent's members, sums and order. The tree's
 nodes are its distinct member sets, those of the single-linkage merge tree:
-at most 2n - 1, whatever the grid. Only the nodes' members are sorted, the
-writers format each node once, and per-island member arrays are built only
-when asked for. The sums read each row block in column order: every row
-still adds its entries in ascending column order, so the bits are those of
-a row-by-row pass, but consecutive adds go to different rows.
+at most 2n - 1, whatever the grid. Every island is read through its node:
+only the nodes' members are sorted, the islands of one node share its member
+set, and the writers format each node once. The sums read each row block in
+column order: every row still adds its entries in ascending column order, so
+the bits are those of a row-by-row pass, but consecutive adds go to different
+rows.
 """
 
 from __future__ import annotations
@@ -106,10 +107,10 @@ class IslandTree:
     the root, island 0), in (level, smallest member id) order, and the members
     of node node[k]: ids[node_ranks[node_start[j]:node_start[j + 1]]] for
     j = node[k], characteristic element first. The nodes are the distinct
-    member sets, in (smallest member, first level) order. ids holds the member
-    ids ascending, as the matrix does; names maps them to external names. The
-    per-island views members and start (island k's members are
-    members[start[k]:start[k + 1]]), layout and islands are built on first use.
+    member sets, in (smallest member, first level) order; the islands of one
+    node share its members. ids holds the member ids ascending, as the matrix
+    does; names maps them to external names. node_first and islands are built
+    on first use.
     """
 
     family: str
@@ -123,32 +124,22 @@ class IslandTree:
     node_start: np.ndarray
 
     @cached_property
-    def start(self) -> np.ndarray:
-        return np.r_[0, np.cumsum(np.diff(self.node_start)[self.node])]
-
-    @cached_property
-    def members(self) -> np.ndarray:
-        sizes = np.diff(self.start)
-        shift = np.repeat(self.node_start[self.node] - self.start[:-1], sizes)
-        return self.ids[self.node_ranks[np.arange(self.start[-1]) + shift]]
+    def node_first(self) -> np.ndarray:
+        """Each node's first island."""
+        return np.unique(self.node, return_index=True)[1]
 
     @cached_property
     def islands(self) -> list[Island]:
-        """One Island record per island, in id order, built on first access."""
-        ids, bounds = self.members.tolist(), self.start.tolist()
-        rows = zip(self.level.tolist(), self.parent.tolist(), bounds, bounds[1:])
+        """One Island record per island, in id order; the islands of one node
+        share one member set."""
+        ids, bounds = self.ids[self.node_ranks].tolist(), self.node_start.tolist()
+        members = [frozenset(ids[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
+        rows = zip(self.level.tolist(), self.parent.tolist(), self.node.tolist())
         return [
             Island(k, level, self.levels[level] if level >= 0 else None,
-                   frozenset(ids[lo:hi]), parent if parent >= 0 else None, ids[lo])
-            for k, (level, parent, lo, hi) in enumerate(rows)
+                   members[j], parent if parent >= 0 else None, ids[bounds[j]])
+            for k, (level, parent, j) in enumerate(rows)
         ]
-
-    @cached_property
-    def layout(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(island of each entry of members, island sizes, characteristic ids)."""
-        sizes = np.diff(self.node_start)[self.node]
-        island = np.repeat(np.arange(sizes.size), sizes)
-        return island, sizes, self.ids[self.node_ranks[self.node_start[:-1]]][self.node]
 
     @cached_property
     def entry_node(self) -> np.ndarray:
@@ -213,41 +204,33 @@ def build_tree(C: CorrelationMatrix, grid: FilterGrid | None = None) -> IslandTr
     if not (0.0 <= values.data.min(initial=0.0) and values.data.max(initial=0.0) <= 1.0):
         raise ValueError("correlation values must lie in [0, 1]")
 
-    # A link of bucket b survives levels 0..b-1. The first pass over the row
-    # blocks buckets their upper-triangle links above grid.start and counts
-    # the buckets; the second writes each link's ends into its bucket's
-    # range: links[cuts[t]:cuts[t + 1]] are those of bucket t + 1. _join's
-    # groups do not depend on the order within a bucket.
-    codes, counts = [], np.zeros(grid.size + 1, np.intp)
-    for lo, _, rows, cols, data in _blocks(values):
-        codes.append(grid.bucket(data[(rows + lo < cols) & (data > grid.start)]))
-        counts += np.bincount(codes[-1], minlength=counts.size)
+    # A link of bucket b survives levels 0..b-1. Each row block keeps the ends of
+    # its upper-triangle links above grid.start, stably sorted by bucket, and its
+    # cumulative bucket counts: ends[:, cuts[t]:cuts[t + 1]] are its links of
+    # bucket t + 1. _join's groups do not depend on the order within a bucket.
+    blocks, top = [], 0
+    for lo in range(0, n, BLOCK_ROWS):
+        hi = min(lo + BLOCK_ROWS, n)
+        p, q = values.indptr[lo], values.indptr[hi]
+        cols, data = values.indices[p:q], values.data[p:q]
+        rows = np.repeat(np.arange(lo, hi, dtype=cols.dtype), np.diff(values.indptr[lo:hi + 1]))
+        keep = (rows < cols) & (data > grid.start)
+        code = grid.bucket(data[keep])
+        ends = np.stack([rows[keep], cols[keep]]).take(np.argsort(code, kind="stable"), 1)
+        blocks.append((ends, np.cumsum(np.bincount(code, minlength=grid.size + 1)).tolist()))
+        top = max(top, int(code.max(initial=0)))
     # Up to the first phi at or above the largest link, or the last below 1.
-    top = np.flatnonzero(counts).max(initial=0)
     levels = [grid.phi(t) for t in range(min(top + 1, grid.size))]
-    cuts = np.cumsum(counts)
-    fill = cuts - counts
-    ii = np.empty(cuts[-1], values.indices.dtype)
-    jj = np.empty(cuts[-1], values.indices.dtype)
-    for (lo, _, rows, cols, data), code in zip(_blocks(values), codes):
-        keep = (rows + lo < cols) & (data > grid.start)
-        # Each link goes to its bucket's next free slot: past the slots of
-        # earlier blocks, at its rank among this block's links of its bucket.
-        sizes = np.bincount(code, minlength=counts.size)
-        to = np.empty(code.size, np.intp)
-        to[np.argsort(code, kind="stable")] = np.arange(code.size)
-        to += (fill - np.cumsum(sizes) + sizes)[code]
-        ii[to], jj[to] = rows[keep] + lo, cols[keep]
-        fill += sizes
-    del codes
 
     # labels[t, r]: t * n + smallest rank of r's island at level t - 1; row 0: root.
     labels = np.zeros((len(levels) + 1, n), dtype=np.intp)
     root = np.arange(n)
     for t in range(len(levels) - 1, -1, -1):
-        _join(root, ii[cuts[t]:cuts[t + 1]], jj[cuts[t]:cuts[t + 1]])
+        links = [ends[:, cuts[t]:cuts[t + 1]] for ends, cuts in blocks if cuts[t] < cuts[t + 1]]
+        if links:
+            _join(root, *np.concatenate(links, 1))
         labels[t + 1] = root + (t + 1) * n
-    del ii, jj
+    del blocks
 
     # moved[t - 1, r]: r's island in labels[t - 1] splits in labels[t]; split[t - 1, b]:
     # some row of block b moved. A block with none keeps its entries inside their islands.
@@ -317,20 +300,6 @@ def build_tree(C: CorrelationMatrix, grid: FilterGrid | None = None) -> IslandTr
     names = {m: C.names[k] for k, m in enumerate(C.members)}
     return IslandTree(C.family, levels, names, np.asarray(C.members), row, parent, node,
                       ranked, node_start)
-
-
-def _blocks(csr: sp.csr_matrix):
-    """Stored entries of a CSR, BLOCK_ROWS rows at a time.
-
-    Yields (lo, hi, rows, cols, data) for the rows lo..hi-1: cols and data are
-    slices of the CSR's arrays, rows their offsets from lo in the index dtype,
-    each row's entries in the order the CSR stores them.
-    """
-    indptr, indices, data = csr.indptr, csr.indices, csr.data
-    for lo in range(0, csr.shape[0], BLOCK_ROWS):
-        hi = min(lo + BLOCK_ROWS, csr.shape[0])
-        rows = np.repeat(np.arange(hi - lo, dtype=indices.dtype), np.diff(indptr[lo:hi + 1]))
-        yield lo, hi, rows, indices[indptr[lo]:indptr[hi]], data[indptr[lo]:indptr[hi]]
 
 
 def _join(root: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:

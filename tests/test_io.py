@@ -360,7 +360,8 @@ SHARES = st.floats(min_value=0.0, allow_infinity=False)
 @st.composite
 def trees_and_reports(draw):
     """A tag tree over drawn names and grid, with or without a report of drawn
-    shares; zeros in p_sample leave those islands' ratios undefined."""
+    shares, one per node and the same for each of its islands, as
+    island_activity's; zeros in p_sample leave those islands' ratios undefined."""
     n = draw(st.integers(min_value=1, max_value=6))
     c = np.eye(n)
     for i in range(n):
@@ -373,10 +374,10 @@ def trees_and_reports(draw):
     tree = build_tree(CorrelationMatrix("tag", "direct", members, names, c), grid)
     if not draw(st.booleans()):
         return tree, None
-    k = len(tree.level)
+    k = tree.node_start.size - 1
     p_sample = draw(st.lists(st.just(0.0) | SHARES, min_size=k, max_size=k))
     p_user = draw(st.lists(SHARES, min_size=k, max_size=k))
-    return tree, ActivityReport("u", np.array(p_sample), np.array(p_user))
+    return tree, ActivityReport("u", np.array(p_sample)[tree.node], np.array(p_user)[tree.node])
 
 
 def _sparse_sample_report(tree):
@@ -422,7 +423,8 @@ def dot_text(tree, report=None, include_singletons=False):
     singletons one at a time."""
     lines = ["digraph islands {", "  rankdir=TB;", "  node [shape=square, fixedsize=true];"]
     edges = []
-    sizes, characteristic = (a.tolist() for a in tree.layout[1:])
+    sizes = [isl.size for isl in tree.islands]
+    characteristic = [isl.characteristic for isl in tree.islands]
     for k, (level, parent) in enumerate(zip(tree.level.tolist(), tree.parent.tolist())):
         if level >= 0 and sizes[k] == 1 and not include_singletons:
             continue
@@ -505,18 +507,39 @@ def test_triples_are_written_through_a_fifo(tmp_path):
 
 
 # -- the writers format one text per node -------------------------------------
+# So a report must give every island of a node the same shares, bit for bit;
+# island_activity's do. JSON has no text for NaN or infinity.
 
-def test_writers_share_node_texts_unless_the_report_differs_within_a_node():
-    tree = CHAIN
-    group, first = tagnet.io._groups(tree, None)
-    assert group is tree.node and first.tolist() == [
-        min(k for k in range(len(tree.level)) if tree.node[k] == j)
-        for j in range(tree.node_start.size - 1)]
-    assert tagnet.io._groups(tree, _sparse_sample_report(tree))[0] is tree.node
-    shares = np.arange(len(tree.level), dtype=float)  # one share per island
-    per_island = tagnet.io._groups(tree, ActivityReport("u", shares, shares))
-    assert [a.tolist() for a in per_island] == [list(range(len(tree.level)))] * 2
-    # 0.0 and -0.0 compare equal but print apart, so they differ too.
-    signed = np.zeros(len(tree.level))
-    signed[np.flatnonzero(tree.node == np.bincount(tree.node).argmax())[1:]] = -0.0
-    assert tagnet.io._groups(tree, ActivityReport("u", signed, signed))[0] is not tree.node
+TREE_WRITERS = [pytest.param(write_tree_json, id="json"), pytest.param(write_tree_dot, id="dot")]
+
+
+def _refused(write, tmp_path, report):
+    """The error with which write refuses report over CHAIN, leaving the old
+    file's bytes."""
+    path = tmp_path / "t.out"
+    path.write_bytes(b"OLD CONTENT\n")
+    with pytest.raises(ValueError) as raised:
+        write(CHAIN, path, report=report)
+    assert path.read_bytes() == b"OLD CONTENT\n"
+    return str(raised.value)
+
+
+@pytest.mark.parametrize("write", TREE_WRITERS)
+def test_writers_reject_a_report_whose_shares_differ_within_a_node(tmp_path, write):
+    half = np.full(len(CHAIN.level), 0.5)
+    islands = np.flatnonzero(CHAIN.node == np.bincount(CHAIN.node).argmax())
+    assert islands.size > 1
+    for within, first in [(0.25, 0.5), (-0.0, 0.0), (0.0, -0.0)]:
+        shares = half.copy()
+        shares[islands] = within
+        shares[islands[0]] = first
+        for report in (ActivityReport("u", shares, half), ActivityReport("u", half, shares)):
+            assert "differ" in _refused(write, tmp_path, report)
+
+
+@pytest.mark.parametrize("write", TREE_WRITERS)
+@pytest.mark.parametrize("share", [np.nan, np.inf, -np.inf, -0.5, -5e-324])
+def test_writers_reject_a_share_that_json_cannot_hold_or_is_negative(tmp_path, write, share):
+    half, bad = np.full(len(CHAIN.level), 0.5), np.full(len(CHAIN.level), share)
+    for report in (ActivityReport("u", bad, half), ActivityReport("u", half, bad)):
+        assert "finite and nonnegative" in _refused(write, tmp_path, report)

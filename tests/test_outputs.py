@@ -5,9 +5,8 @@ A planted corpus of 6,000 events (its tag tree has 274 islands) runs through
 sha256 recorded here. The digests were taken while the tree was still built
 as one Island record per island, so a change to the sweep, the tree's arrays
 or the writers that moves a single byte fails here. Every run also patches
-IslandTree.islands to raise, and every CLI run makes the per-island members,
-start and layout views raise too: the CLI reads the tree's nodes and never
-builds Island records or per-island member arrays.
+IslandTree.islands to raise: the CLI reads the tree's nodes and never builds
+Island records.
 """
 
 import dataclasses
@@ -18,7 +17,6 @@ import pytest
 
 import tagnet.cli
 from tagnet import (
-    CorrelationMatrix,
     FilterGrid,
     IslandTree,
     PlantedConfig,
@@ -55,20 +53,23 @@ FINE_DIGESTS = {
 # No file pins the order of an island's members after the first (JSON sorts
 # them by name, DOT shows the characteristic element only), so the sweep's
 # arrays are pinned too, as int64 bytes, on a fine grid (100 levels over
-# users, 92 over tags).
+# users, 92 over tags). The node arrays' digests were recorded while the tree
+# still had per-island member arrays, whose digests they replace.
 FINE_GRID = FilterGrid(0.0, 0.01)
 ARRAY_DIGESTS = {
     "users": {
         "level": "f3b70973424ded2702a7929cc81f900b045b2b1f0256beabc831a561d2ecb6c1",
         "parent": "a2b6ed0656c3b6edecb08fbdcadfe58c44125cbfb79d96b6b69e89ee46edf003",
-        "members": "93caa9a94ef64184a2794b22ef69b9e7825ba52d377d0b6dc7c85d12a78ea93a",
-        "start": "0912b53a9060d503141029ff6a3099ec8d0a6d152a4dd57b59f55178b8a0b103",
+        "node": "ee92e1cb8a7a610188ce41e5ec421ae93449fec148d6c22ee0e6c88a30af9a72",
+        "node_ranks": "8d6d9bb7dc562592652561074c8bcbc6216269018300b856109e82012d5a1a36",
+        "node_start": "c9ec2bd22e49b11b1d6d23d25233931a04a35f88142c03a986757ba251378e7f",
     },
     "tags": {
         "level": "0e5ce7f8851760afd5bcfcd7a44e3f9ad21c1133b4285334497135ab10387c78",
         "parent": "25060f810237f31711ea002de670922930512138ec64ee94fd7678954d49d043",
-        "members": "3fed00664b2c6ee7ad7b16ce572e702473b7c4669520579b8218fc44a96f1659",
-        "start": "eec7fff38cbf308343c381a5a934f4502073a02a487c428fd38579a661b619f8",
+        "node": "ab2861f1a42871ca55f87fa93a4277e5eef88ce7d477d18d67b7bbacab60b455",
+        "node_ranks": "53250397eead44a8dee96893b04953713d4e77fd58ff461a053bc9bbc27bd5d4",
+        "node_start": "21a12cdbe6918227c7de03e4fb619a66a4fa228288790846859b43c5cf442bc7",
     },
 }
 
@@ -88,19 +89,8 @@ def no_island_records(monkeypatch):
     monkeypatch.setattr(IslandTree, "islands", property(refuse))
 
 
-def refuse_island_views(patch):
-    """Make the per-island views raise: the CLI reads the tree's nodes."""
-    for view in ("members", "start", "layout"):
-        def refuse(tree, view=view):
-            raise AssertionError(f"the CLI built IslandTree.{view}")
-
-        patch.setattr(IslandTree, view, property(refuse))
-
-
 def run(capsys, *argv):
-    with pytest.MonkeyPatch.context() as patch:  # the sweep's own tests read the views
-        refuse_island_views(patch)
-        assert main(list(argv)) == EXIT_OK
+    assert main(list(argv)) == EXIT_OK
     out, err = capsys.readouterr()
     assert err == ""
     return out
@@ -169,12 +159,3 @@ def test_fine_grid_tree_with_singletons_is_pinned(corpus, tmp_path, capsys, fami
     for name in (f"{family}.json", f"{family}.dot"):
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == FINE_DIGESTS[name]
 
-
-def test_island_view_guard_refuses_what_it_names():
-    tree = build_tree(CorrelationMatrix.from_dense(np.eye(2)))
-    with pytest.MonkeyPatch.context() as patch:
-        refuse_island_views(patch)
-        for view in ("members", "start", "layout"):
-            with pytest.raises(AssertionError, match=view):
-                getattr(tree, view)
-    assert tree.members.tolist() == [0, 1, 0, 1]

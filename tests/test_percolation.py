@@ -519,9 +519,12 @@ def test_descending_order_example_holds_what_it_names():
                             descending_csr(DESCENDING_ORDER_SWAPS)), grid=FilterGrid())
 def test_members_follow_their_summed_correlation(C, grid):
     tree = sweep_in_two_row_blocks(C, grid)
-    members, bounds = tree.members.tolist(), tree.start.tolist()
-    for isl, lo, hi in zip(tree.islands, bounds, bounds[1:]):
-        assert members[lo:hi] == oracle_member_order(isl.members, C)
+    members, bounds = tree.ids[tree.node_ranks].tolist(), tree.node_start.tolist()
+    for lo, hi in zip(bounds, bounds[1:]):
+        assert members[lo:hi] == oracle_member_order(frozenset(members[lo:hi]), C)
+
+
+TREE_ARRAYS = ("level", "parent", "node", "node_ranks", "node_start")
 
 
 @given(C=stored_matrices(), grid=grids)
@@ -533,7 +536,7 @@ def test_sweep_leaves_its_input_as_it_found_it(C, grid):
     assert [a.tobytes() for a in (values.indices, values.indptr, values.data)] == before
     ordered = sweep_in_two_row_blocks(
         dataclasses.replace(C, values=values.sorted_indices()), grid)
-    for name in ("level", "parent", "members", "start"):
+    for name in TREE_ARRAYS:
         assert np.array_equal(getattr(tree, name), getattr(ordered, name)), name
 
 
@@ -546,18 +549,20 @@ def test_sweep_arrays_do_not_depend_on_the_index_dtype(C, grid):
     assert sp.csr_matrix(wide).indices.dtype == np.int64
     trees = [sweep_in_two_row_blocks(dataclasses.replace(C, values=values), grid)
              for values in (narrow, wide)]
-    for name in ("level", "parent", "members", "start"):
+    for name in TREE_ARRAYS:
         assert np.array_equal(getattr(trees[0], name), getattr(trees[1], name)), name
 
 
 @given(C=stored_matrices(), grid=grids)
-def test_layout_matches_island_records(C, grid):
+def test_islands_read_their_node(C, grid):
     tree = sweep_in_two_row_blocks(C, grid)
-    island, sizes, characteristic = tree.layout
-    assert sizes.tolist() == [isl.size for isl in tree.islands]
-    assert characteristic.tolist() == [isl.characteristic for isl in tree.islands]
-    assert island.tolist() == [isl.id for isl in tree.islands for _ in isl.members]
-    assert tree.layout is tree.layout
+    nodes = tree.node.tolist()
+    first = [nodes.index(j) for j in range(tree.node_start.size - 1)]
+    assert tree.node_first.tolist() == first
+    heads = tree.ids[tree.node_ranks[tree.node_start[:-1]]].tolist()
+    for isl, j in zip(tree.islands, nodes):  # one member set per node
+        assert isl.members is tree.islands[first[j]].members
+        assert isl.characteristic == heads[j]
 
 
 # -- island sums ----------------------------------------------------------------
