@@ -282,16 +282,17 @@ def write_tree_dot(
 
 
 def _check_report(tree: IslandTree, report: ActivityReport | None) -> None:
-    """Reject a report that does not cover the tree, holds a share that is NaN,
-    infinite or negative (JSON has no text for the first two), or whose shares
-    differ between the islands of one node: the writers format one text per
-    node. Shares compare bit for bit, since 0.0 and -0.0 print apart.
-    island_activity's islands share their node's sums, so its reports pass."""
+    """Reject a report that does not cover the tree, holds a share or a ratio
+    p_user / p_sample that is NaN, infinite or negative (JSON has no text for
+    the first two), or whose shares differ between the islands of one node: the
+    writers format one text per node. Shares compare bit for bit, since 0.0 and
+    -0.0 print apart. island_activity gives each node one set of shares."""
     if report is None:
         return
     shares = np.stack([report.p_sample, report.p_user]).astype(float)
-    if not ((0.0 <= shares) & (shares < np.inf)).all():  # before records reads them
-        raise ValueError("activity shares must be finite and nonnegative")
+    ratios = [u / s for s, u in shares.T.tolist() if s > 0]  # checked before records divides
+    if not ((0.0 <= shares) & (shares < np.inf)).all() or math.inf in ratios:
+        raise ValueError("activity shares and ratios must be finite and nonnegative")
     if report.records.keys() != set(range(len(tree.level))):
         raise ValueError("activity report does not cover this tree")
     bits = shares.view(np.int64)

@@ -10,17 +10,14 @@ comes out of one single-linkage pass (Gower & Ross 1969): bucket the links by
 the number of levels they survive, hook each bucket's ends from the top level
 down, and read the groups off after each bucket. A link's bucket is
 arithmetic on its value and the grid, and each row block sorts its links by
-bucket as it is read, so the pass holds only the links' two ends.
-Islands only refine as phi grows, so rows none of whose entries leave their
-islands at a level keep the island sums of the level above, and an island
-that does not split keeps its parent's members, sums and order. The tree's
+bucket as it is read, so the pass holds only the links' two ends. An island
+that does not split keeps its parent's members, sums and order, so the tree's
 nodes are its distinct member sets, those of the single-linkage merge tree:
-at most 2n - 1, whatever the grid. Every island is read through its node:
-only the nodes' members are sorted, the islands of one node share its member
-set, and the writers format each node once. The sums read each row block in
-column order: every row still adds its entries in ascending column order, so
-the bits are those of a row-by-row pass, but consecutive adds go to different
-rows.
+at most 2n - 1, whatever the grid. Only the nodes' members are sorted, and
+the writers format each node once. The sums that rank the members are exact
+before one last rounding, so each stored entry is added once, in any order, at
+the last level where its two ends share an island; island_sums, which weighs
+the islands for the diversity reports, still adds in ascending id order.
 """
 
 from __future__ import annotations
@@ -174,21 +171,19 @@ def build_tree(C: CorrelationMatrix, grid: FilterGrid | None = None) -> IslandTr
     up to the last phi below 1, whichever comes first. The terminal
     all-singleton level is kept in the structure; exporters decide whether
     to draw it. Every island's characteristic element is the member whose
-    summed correlation to the island, added up in ascending id order from 0.0
-    one term at a time with the diagonal included, is the largest, ties to
-    the smallest id; the other members follow by the same sums.
+    summed correlation to the island, diagonal included, is the largest, ties
+    to the smallest id; the other members follow by the same sums. A sum adds
+    its terms exactly, each rounded to the nearest multiple of 2 ** -2e (ties
+    to even), e = 53 - C.size.bit_length(), then rounds once: in any order.
 
     Links join by array hooking (Shiloach & Vishkin 1982), a bucket at a time
     from the top level down: each round hooks the larger root of every link
     still across two groups onto the smallest root it meets there by
     np.minimum.at (a plain assignment keeps an arbitrary write, and a star
     centred on its largest id then takes a round per leaf), and follows
-    pointers until each index maps straight to its root. A row block's CSC
-    form lists every row's entries in ascending column order, whatever order
-    the CSR rows store them in, and bincount adds each bin's terms in array
-    order, so each sum is that left fold. C.values is read, not changed.
-    Values must lie in [0, 1], and C must be symmetric: links are read from
-    the upper triangle only, while the sums read both. An asymmetric
+    pointers until each index maps straight to its root. C.values is read, not
+    changed. Values must lie in [0, 1], and C must be symmetric: links are read
+    from the upper triangle only, while the sums read both. An asymmetric
     hand-built CSR is not detected, since checking would cost a transposed
     copy of C.
     """
@@ -232,49 +227,60 @@ def build_tree(C: CorrelationMatrix, grid: FilterGrid | None = None) -> IslandTr
         labels[t + 1] = root + (t + 1) * n
     del blocks
 
-    # moved[t - 1, r]: r's island in labels[t - 1] splits in labels[t]; split[t - 1, b]:
-    # some row of block b moved. A block with none keeps its entries inside their islands.
+    # moved[t - 1, r]: r's island in labels[t - 1] splits in labels[t].
     above, below = labels[:-1], labels[1:] - n
     splits = np.zeros(labels.size, dtype=bool)
     splits[above[above != below]] = True
     moved = splits[above]
-    split = np.logical_or.reduceat(moved, np.arange(0, n, BLOCK_ROWS), axis=1)
     del above, below, splits
 
-    # sums[t] sums each row over its island in labels[t]. Islands only refine, so
-    # the entries kept for one level are filtered again for the next; a block
-    # none of whose entries leaves its island keeps the level above's sums.
-    # Each block is read in column order (see the module docstring). Row indices
-    # are cast to intp once per block: numpy casts any other dtype on every gather.
-    sums = np.empty(labels.shape)
+    # Ordered by their labels row by row, each island's members are a run of
+    # positions, and shared[k * n + p] is the last row that positions p to
+    # p + 2 ** k all share (a sparse table, Bender & Farach-Colton 2000): that of
+    # positions p <= q is the least at p + ahead[q - p] and p + behind[q - p].
+    rows = len(labels)
+    order = np.lexsort(labels[::-1])
+    position = np.argsort(order)
+    shared = [np.zeros(n, np.min_scalar_type(MAX_LEVELS))]
+    for row in labels[1:]:
+        shared[0][:-1] += np.diff(row[order]) == 0
+    span = 1 << np.arange((n - 1).bit_length())
+    for width in span[:-1]:  # a window past the end is never read
+        shared.append(np.minimum(shared[-1], np.roll(shared[-1], -width)))
+    shared = np.concatenate(shared + [np.full(n, rows - 1, shared[0].dtype)])  # q == p
+    ahead = np.r_[span.size, np.repeat(np.arange(span.size), span)][:n] * n
+    behind = ahead + np.arange(n) - np.r_[0, np.repeat(span, span)][:n]
+
+    # The nodes, one per distinct member set, in (smallest rank, first row) order,
+    # each best member first: the cells of the root row and those whose island a
+    # row up split, by (member, row). A cell's sum adds its row's entries binned
+    # at the last row their ends share, from the last row up, each rounded onto
+    # high units of 2 ** -e plus low units of 2 ** -2e: no partial sum of n of
+    # them rounds (pre-rounding, Demmel & Nguyen 2013). Node j lives in rows
+    # first[j] to last[j].
+    cells = np.flatnonzero(np.r_[np.ones((1, n), bool), moved].T)
+    key = labels[cells % rows, cells // rows] % n * rows + cells % rows
+    scale, sums = 2.0 ** (53 - n.bit_length()), np.zeros(cells.size)
     for lo in range(0, n, BLOCK_ROWS):
         hi = min(lo + BLOCK_ROWS, n)
         p, q = values.indptr[lo], values.indptr[hi]
-        block = sp.csr_matrix((values.data[p:q], values.indices[p:q],
-                               values.indptr[lo:hi + 1] - p), shape=(hi - lo, n)).tocsc()
-        rows, data = block.indices.astype(np.intp), block.data
-        cols = np.repeat(np.arange(n), np.diff(block.indptr))
-        sums[0, lo:hi] = np.bincount(rows, weights=data, minlength=hi - lo)  # the root
-        for t in range(1, len(labels)):
-            if split[t - 1, lo // BLOCK_ROWS]:
-                inside = labels[t, lo:hi].take(rows) == labels[t].take(cols)
-                if not inside.all():
-                    kept = np.flatnonzero(inside)
-                    rows, cols, data = rows.take(kept), cols.take(kept), data.take(kept)
-                    sums[t, lo:hi] = np.bincount(rows, weights=data, minlength=hi - lo)
-                    continue
-            sums[t, lo:hi] = sums[t - 1, lo:hi]
-
-    # The nodes, one per distinct member set: the cells of the root row and those
-    # whose island a row up split. Node j is alive from row first[j] to last[j];
-    # the nodes run in (smallest rank, first row) order, each best member first.
-    rows = len(labels)
-    cells = np.flatnonzero(np.r_[np.ones(n, bool), moved.ravel()])
-    key = labels.ravel()[cells]
-    key = key % n * rows + key // n
-    order = np.lexsort((-sums.ravel()[cells], key))
-    ranked, key = cells[order] % n, key[order]
-    del sums, moved, cells, order
+        counts = np.diff(values.indptr[lo:hi + 1])
+        left = np.repeat(position[lo:hi], counts)
+        length = position.take(values.indices[p:q]) - left
+        left, length = left + np.minimum(length, 0), np.abs(length, out=length)
+        bins = np.repeat(np.arange(0, (hi - lo) * rows, rows), counts) + np.minimum(
+            shared.take(ahead.take(length) + left), shared.take(behind.take(length) + left))
+        high = np.rint(values.data[p:q] * scale)
+        low = np.rint(values.data[p:q] * scale ** 2 - high * scale)
+        c, d = np.searchsorted(cells, (lo * rows, hi * rows))
+        for part, unit in (high, scale), (low, scale ** 2):
+            part = np.bincount(bins, part, (hi - lo) * rows).reshape(hi - lo, rows)
+            np.cumsum(part[:, ::-1], axis=1, out=part[:, ::-1])
+            sums[c:d] += part.take(cells[c:d] - lo * rows) / unit
+        del left, length, bins, high, low, part
+    order = np.lexsort((-sums, key))
+    ranked, key = cells[order] // rows, key[order]
+    del sums, cells, order, moved, shared, position, ahead, behind
     node_start = np.flatnonzero(np.r_[True, key[1:] != key[:-1], True])
     key = key[node_start[:-1]]
     head, first = np.divmod(key, rows)

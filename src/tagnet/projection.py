@@ -27,8 +27,8 @@ VIEWS: dict[str, tuple[str, str]] = {
 }
 
 #: Matrix rows per block: bounds the transient arrays of the product sort in
-#: _CosineRows and, in percolation.build_tree, of the link bucketing and the
-#: per-level gathers of the island sums.
+#: _CosineRows and, in percolation.build_tree, of the link bucketing and of the
+#: one pass that bins each stored entry into the island sums.
 BLOCK_ROWS = 128
 
 DEFAULT_VIEW = {

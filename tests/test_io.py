@@ -380,6 +380,13 @@ def trees_and_reports(draw):
     return tree, ActivityReport("u", np.array(p_sample)[tree.node], np.array(p_user)[tree.node])
 
 
+def ratio_overflows(report):
+    """Whether some ratio p_user / p_sample of the report, divided as its records
+    divide it, is infinite: the writers refuse such a report."""
+    shares = [] if report is None else zip(report.p_sample.tolist(), report.p_user.tolist())
+    return any(u / s == math.inf for s, u in shares if s > 0)
+
+
 def _sparse_sample_report(tree):
     """Activity of a user of tag 0 against a sample that never used tag 1,
     so every island holding only tag 1 has an undefined ratio."""
@@ -407,6 +414,10 @@ CHAIN = build_tree(CorrelationMatrix.from_dense([[1.0, 0.2, 0.0], [0.2, 1.0, 0.0
 def test_tree_json_bytes_equal_json_dump(tmp_path_factory, case):
     tree, report = case
     path = tmp_path_factory.mktemp("json") / "t.json"
+    if ratio_overflows(report):
+        with pytest.raises(ValueError, match="ratios"):
+            write_tree_json(tree, path, report=report)
+        return
     expected = json_dump_text(tree, report).encode("ascii")
     # Chunks of one and two records put record boundaries on chunk boundaries.
     for chunk in (1, 2, tagnet.io.CHUNK_ISLANDS):
@@ -449,6 +460,10 @@ def dot_text(tree, report=None, include_singletons=False):
 def test_tree_dot_bytes_equal_the_every_island_loop(tmp_path_factory, case):
     tree, report = case
     path = tmp_path_factory.mktemp("dot") / "t.dot"
+    if ratio_overflows(report):
+        with pytest.raises(ValueError, match="ratios"):
+            write_tree_dot(tree, path, report)
+        return
     for include_singletons in (False, True):
         text = dot_text(tree, report, include_singletons)
         try:
@@ -543,3 +558,21 @@ def test_writers_reject_a_share_that_json_cannot_hold_or_is_negative(tmp_path, w
     half, bad = np.full(len(CHAIN.level), 0.5), np.full(len(CHAIN.level), share)
     for report in (ActivityReport("u", bad, half), ActivityReport("u", half, bad)):
         assert "finite and nonnegative" in _refused(write, tmp_path, report)
+
+
+@pytest.mark.parametrize("write", TREE_WRITERS)
+def test_writers_reject_a_report_whose_ratio_overflows(tmp_path, write):
+    ones = np.ones(len(CHAIN.level))
+    report = ActivityReport("u", np.full(len(CHAIN.level), 5e-324), ones)
+    assert [r.ratio for r in report.records.values()] == [math.inf] * len(CHAIN.level)
+    assert "finite and nonnegative" in _refused(write, tmp_path, report)
+    # The largest ratio below the overflow is written, as a finite number.
+    report = ActivityReport("u", np.full(len(CHAIN.level), 2.0 ** -1023), ones)
+    write(CHAIN, tmp_path / "t.out", report=report)
+    if write is write_tree_json:
+        doc = json.loads((tmp_path / "t.out").read_text(), parse_constant=_no_constant)
+        assert {isl["r"] for isl in doc["islands"]} == {2.0 ** 1023}
+
+
+def _no_constant(name):
+    raise ValueError(f"not strict JSON: {name}")

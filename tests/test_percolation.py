@@ -9,6 +9,7 @@ import pathlib
 import random
 import signal
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -64,15 +65,19 @@ def oracle_components(members, edges):
     return parts
 
 
+def exact_sum(values, n):
+    """A sum as build_tree ranks by it in an n-member matrix: each value rounded
+    to the nearest multiple of 2 ** -2e (ties to even), e = 53 - n.bit_length(),
+    the rounded values added exactly, and the total rounded once to a float."""
+    unit = 2 ** (2 * (53 - n.bit_length()))
+    return float(sum(Fraction(round(Fraction(v) * unit), unit) for v in values))
+
+
 def oracle_member_order(island, C):
-    """The island's members by summed correlation to it, largest first, ties
-    to the smaller id; each sum a left fold over the island in ascending id
-    order from 0.0."""
+    """The island's members by summed correlation to it (exact_sum), largest
+    first, ties to the smaller id."""
     def total(i):
-        s = 0.0
-        for j in sorted(island):
-            s += C.value(i, j)
-        return s
+        return exact_sum([C.value(i, j) for j in island], C.size)
     return sorted(island, key=lambda i: (-total(i), i))
 
 
@@ -524,7 +529,81 @@ def test_members_follow_their_summed_correlation(C, grid):
         assert members[lo:hi] == oracle_member_order(frozenset(members[lo:hi]), C)
 
 
+def left_fold_order(c):
+    """The rows of c by their sums added one term at a time in ascending column
+    order from 0.0, largest first, ties to the smaller row: a ranking that
+    depends on the order of the terms, as exact sums do not."""
+    sums = [functools.reduce(operator.add, row, 0.0) for row in np.asarray(c).tolist()]
+    return sorted(range(len(sums)), key=lambda i: (-sums[i], i))
+
+
+def root_order(c):
+    tree = build_tree(CorrelationMatrix.from_dense(c))
+    return tree.ids[tree.node_ranks[:tree.node_start[1]]].tolist()
+
+
+# Folded left in ascending column order, rows 1 and 3 both come to 2.45 and tie;
+# exactly, row 1's sum rounds to 2.4499999999999997 and row 3's to 2.45.
+LEFT_FOLD_DIFFERS = [
+    [1.0, 0.7, 0.9, 0.5000000000000001],
+    [0.7, 1.0, 0.05, 0.7],
+    [0.9, 0.05, 1.0, 0.25],
+    [0.5000000000000001, 0.7, 0.25, 1.0],
+]
+
+
+def test_members_follow_their_exact_sums_not_a_left_fold():
+    assert left_fold_order(LEFT_FOLD_DIFFERS) == [0, 1, 3, 2]
+    assert root_order(LEFT_FOLD_DIFFERS) == [0, 3, 1, 2]
+
+
+# Rows 0 and 3 hold the same values: folded left, row 3's come to
+# 1.6500000000000001 and row 0's to 1.65. Exactly, they tie.
+EXACT_TIE = [
+    [1.0, 0.05, 0.2, 0.4],
+    [0.05, 1.0, 0.05, 0.2],
+    [0.2, 0.05, 1.0, 0.05],
+    [0.4, 0.2, 0.05, 1.0],
+]
+
+
+def test_an_exact_tie_goes_to_the_smaller_id():
+    assert left_fold_order(EXACT_TIE) == [3, 0, 1, 2]
+    assert root_order(EXACT_TIE) == [0, 3, 1, 2]
+
+
+def test_each_term_is_rounded_before_the_exact_sum():
+    # Over three members terms are rounded to multiples of 2 ** -102, so 2 ** -110
+    # adds nothing and row 0's sum, 1 + 2 ** -53, rounds to 1.0 (ties to even),
+    # below row 1's 1 + 2 ** -52. Unrounded, row 0's sum would round up to tie.
+    half, tiny = 2.0 ** -53, 2.0 ** -110
+    c = [[1.0, half, tiny], [half, 1.0, half], [tiny, half, 1.0]]
+    assert float(sum(map(Fraction, c[0]))) == float(sum(map(Fraction, c[1])))
+    assert exact_sum(c[0], 3) < exact_sum(c[1], 3)
+    assert root_order(c) == [1, 0, 2]
+
+
+def shuffled_csr(c, seed):
+    """CSR of c whose rows store their entries in a random order."""
+    coo = sp.coo_matrix(c)
+    order = np.lexsort((np.random.default_rng(seed).random(coo.nnz), coo.row))
+    indptr = np.searchsorted(coo.row[order], np.arange(len(c) + 1))
+    return sp.csr_matrix((coo.data[order], coo.col[order], indptr), shape=coo.shape)
+
+
 TREE_ARRAYS = ("level", "parent", "node", "node_ranks", "node_start")
+
+
+@given(C=stored_matrices(), grid=grids, seed=st.integers(0, 2 ** 32 - 1))
+@example(C=CorrelationMatrix.from_dense(DESCENDING_ORDER_SWAPS), grid=FilterGrid(), seed=0)
+@example(C=CorrelationMatrix.from_dense(LEFT_FOLD_DIFFERS), grid=FilterGrid(), seed=0)
+def test_sweep_arrays_do_not_depend_on_the_stored_entry_order(C, grid, seed):
+    c = C.dense()
+    trees = [sweep_in_two_row_blocks(dataclasses.replace(C, values=values), grid)
+             for values in (sp.csr_matrix(c), descending_csr(c), shuffled_csr(c, seed))]
+    for tree in trees[1:]:
+        for name in TREE_ARRAYS:
+            assert np.array_equal(getattr(tree, name), getattr(trees[0], name)), name
 
 
 @given(C=stored_matrices(), grid=grids)
