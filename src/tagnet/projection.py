@@ -5,7 +5,9 @@ entities of the same family is the cosine of their signatures. Four views are
 supported: users-via-items and items-via-users (0/1 ownership profiles),
 items-via-tags and tags-via-items (weight sums over all users). A view's
 signatures are the rows of one of the network's incidence matrices B, B^T, W
-and W^T. Cross-kind correlations are deliberately not computed.
+and W^T. Cross-kind correlations are deliberately not computed. Cosine
+matrices are scipy CSR, each row's columns in the order the sparse product
+leaves them: no reader depends on column order.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ VIEWS: dict[str, tuple[str, str]] = {
     "tags-via-items": (TAG, ITEM),
 }
 
-#: Matrix rows per block: bounds the transient arrays of the product sort in
+#: Matrix rows per block: bounds the transient arrays of the product scaling in
 #: _CosineRows and, in percolation.build_tree, of the link bucketing and of the
 #: one pass that bins each stored entry into the island sums.
 BLOCK_ROWS = 128
@@ -166,8 +168,10 @@ def correlation_matrix(
     (_CosineRows). The first request on a view gets its own grid, which is
     not kept. Every later request is cut from full cosine rows over the
     family, and computes only the rows of its members that have none yet.
-    Results are bit-identical whatever the call history, and each holds
-    arrays of its own, so writing into one changes no other.
+    Every entry is bit-identical whatever the call history, and each result
+    holds arrays of its own, so writing into one changes no other. A row
+    holds its columns in the order the product leaves them;
+    values.sorted_indices() gives canonical CSR.
     """
     kind = _as_kind(family)
     if view is None:
@@ -206,6 +210,7 @@ class _CosineRows:
     on the Gram matrix G = A A^T of the raw signatures (the rows of a). For
     0/1 signatures G is exact, so each cosine is rounded once and exact
     values stay exact: two users with 6 items sharing 3 correlate exactly 0.5.
+    Cached rows and the cuts from them keep the product's column order.
     """
 
     def __init__(self, a: sp.csr_matrix, at: sp.csr_matrix) -> None:
@@ -241,35 +246,28 @@ class _CosineRows:
 
     def _cosines(self, new: np.ndarray, family: bool) -> sp.csr_matrix:
         """Cosines of the members new against the whole family, or against
-        themselves, as CSR with ascending columns."""
+        themselves, as CSR with each row's columns in product order."""
         rows, own = self.a[new], self.gram[new]
         right, gram = (self.at, self.gram) if family else (rows.T, own)
         # With every row of rows in ascending column order, csr_matmat adds
         # each G[i, j] over the shared columns in that order, whatever other
-        # rows are present, and G[i, j] and G[j, i] are equal. It leaves each
-        # row's columns unordered, so every block of rows is counting-sorted
-        # (to CSC and back) and scaled in place: the product is the result.
+        # rows are present, and G[i, j] and G[j, i] are equal. Every block of
+        # rows is scaled in place: the product is the result.
         grid = rows @ right
-        del rows, right  # the product alone is held while it is sorted
+        del rows, right  # the product alone is held while it is scaled
         indptr, indices, data = grid.indptr, grid.indices, grid.data
         for lo in range(0, len(new), BLOCK_ROWS):
             hi = min(lo + BLOCK_ROWS, len(new))
             p, q = indptr[lo], indptr[hi]
-            cols, vals = indices[p:q], data[p:q]
-            block = sp.csr_matrix(
-                (vals, cols, indptr[lo:hi + 1] - p), shape=(hi - lo, grid.shape[1])
-            ).tocsc().tocsr()
-            cols[:], vals[:] = block.indices, block.data
-            del block
+            vals = data[p:q]
             # The diagonal comes out exactly 1: sqrt(x * x) is x in IEEE 754
             # floating point, barring overflow and underflow. Zero rows store
             # nothing.
             scale = np.repeat(own[lo:hi], np.diff(indptr[lo:hi + 1]))
-            scale *= gram[cols]
+            scale *= gram[indices[p:q]]
             np.sqrt(scale, out=scale)
             vals /= scale
             np.clip(vals, 0.0, 1.0, out=vals)
-        grid.has_sorted_indices = True
         return grid
 
 

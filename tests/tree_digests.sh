@@ -1,9 +1,11 @@
 #!/usr/bin/env bash
 # Tree digests: `tagnet tree` over the benchmark's seed-1 tag corpus (T, 600
 # tags) and user corpus (U, 4,500 users), with the benchmark's arguments at
-# the default grid, must write the pinned bytes: the sha256 of the JSON file
+# the default grid and at the fine grid (--phi-step 0.002, 500 levels, with
+# singletons), must write the pinned bytes: the sha256 of the JSON file
 # followed by the DOT file. The island sums are exact, so the bytes do not
-# depend on the numpy version. The corpora come from bench/corpus.py.
+# depend on the numpy version or on the column order of the stored cosines.
+# The corpora come from bench/corpus.py.
 # Run from the repository root: bash tests/tree_digests.sh
 set -euo pipefail
 
@@ -18,17 +20,23 @@ for name, spec in (("T", run.TAG_SPEC), ("U", run.USER_SPEC)):
 PY
 
 status=0
-check() {  # corpus, family, top-n, pinned digest
-  PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m tagnet tree --input "$work/$1.tsv" \
-    --family "$2" --top-n "$3" --out-json "$work/$1.json" --out-dot "$work/$1.dot"
+check() {  # pinned digest, corpus, family, top-n, further tree arguments
+  local expected=$1 name=$2 family=$3 top=$4
+  shift 4
+  PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m tagnet tree --input "$work/$name.tsv" \
+    --family "$family" --top-n "$top" "$@" --out-json "$work/$name.json" --out-dot "$work/$name.dot"
   local digest
-  digest=$(cat "$work/$1.json" "$work/$1.dot" | sha256sum | cut -d ' ' -f 1)
-  echo "$1 --family $2 --top-n $3: $digest"
-  if [ "$digest" != "$4" ]; then
-    echo "  expected $4" >&2
+  digest=$(cat "$work/$name.json" "$work/$name.dot" | sha256sum | cut -d ' ' -f 1)
+  echo "$name --family $family --top-n $top${*:+ $*}: $digest"
+  if [ "$digest" != "$expected" ]; then
+    echo "  expected $expected" >&2
     status=1
   fi
 }
-check T tags 600 34e16992fe4041dcdc8af280841d03290ab4d54ba470dfab3d6c174537b700de
-check U users 4500 deb101797e66dbb1a9996c60ef79ca674f17310d76dc4eb82dc243170bcbefd6
+check 34e16992fe4041dcdc8af280841d03290ab4d54ba470dfab3d6c174537b700de T tags 600
+check deb101797e66dbb1a9996c60ef79ca674f17310d76dc4eb82dc243170bcbefd6 U users 4500
+check 3260edd265680c69d24984498f5689acd73754e97e92d3f2bc7602f0a28b424f T tags 600 \
+  --phi-step 0.002 --include-singletons
+check 53352d8f3eb5f9a0a52539584dfafd834a946e333d5d1693e369e13d4948b396 U users 4500 \
+  --phi-step 0.002 --include-singletons
 exit "$status"
