@@ -560,6 +560,39 @@ def test_first_grid_keeps_the_products_column_order():
     assert not product.has_sorted_indices
 
 
+def _ascending_in_every_row(csr):
+    return all(np.all(np.diff(csr.indices[lo:hi]) > 0)
+               for lo, hi in zip(csr.indptr, csr.indptr[1:]))
+
+
+@pytest.mark.parametrize("family", ["users", "items", "tags"])
+def test_grids_keep_the_products_column_order_in_every_row(family):
+    # The first grid is the product itself; the full rows cached for later
+    # requests are the product over the family, and a cut keeps their order.
+    net = build_network(generate(PlantedConfig(4, 6, 12, 8, seed=2))[0])
+    n = len({"users": net.users, "items": net.items, "tags": net.tags}[family])
+    first_members, later_members = list(range(0, n, 2)), list(range(n // 2))
+    first = correlation_matrix(net, family, members=first_members).values
+    later = correlation_matrix(net, family, members=later_members).values
+    rows = net._grids[tagnet.projection.DEFAULT_VIEW[family[:-1]]]
+    a = rows.a[first_members]
+    product = a @ a.T
+    assert np.array_equal(first.indptr, product.indptr)
+    assert np.array_equal(first.indices, product.indices)
+    full = rows.a[later_members] @ rows.at
+    position = {m: i for i, m in enumerate(later_members)}
+    for i, m in enumerate(later_members):
+        row = full.indices[full.indptr[i]:full.indptr[i + 1]]
+        assert np.array_equal(rows.cols[m], row)
+        kept = [position[c] for c in row.tolist() if c in position]
+        assert later.indices[later.indptr[i]:later.indptr[i + 1]].tolist() == kept
+    # sorted_indices() gives canonical CSR with the same entries.
+    for grid in (first, later):
+        canonical = grid.sorted_indices()
+        assert _ascending_in_every_row(canonical)
+        assert np.array_equal(canonical.toarray(), grid.toarray())
+
+
 @pytest.mark.parametrize("view", sorted(tagnet.projection.VIEWS))
 def test_every_block_entry_is_the_cosine_of_its_signatures_bit_for_bit(view):
     net = build_network(generate(PlantedConfig(4, 6, 12, 8, seed=2))[0])
@@ -577,6 +610,13 @@ def test_every_block_entry_is_the_cosine_of_its_signatures_bit_for_bit(view):
 
 # Every family above has fewer rows than one BLOCK_ROWS block, so these
 # scale the product in several blocks.
+@pytest.mark.parametrize("rows", [1, 2])
+@pytest.mark.parametrize("family", ["users", "items", "tags"])
+def test_grids_keep_the_products_column_order_with_small_row_blocks(monkeypatch, rows, family):
+    monkeypatch.setattr(tagnet.projection, "BLOCK_ROWS", rows)
+    test_grids_keep_the_products_column_order_in_every_row(family)
+
+
 @pytest.mark.parametrize("rows", [1, 2])
 @pytest.mark.parametrize("view", sorted(tagnet.projection.VIEWS))
 def test_every_block_entry_is_exact_with_small_row_blocks(monkeypatch, rows, view):
