@@ -59,10 +59,10 @@ def read_triples(path, fmt: str = "tsv", strict: bool = False) -> Triples:
     with open(path, "rb") as fh:
         start = fh.seek(3 if fh.read(3) == b"\xef\xbb\xbf" else 0)  # past a byte-order mark
         try:
-            while block := _plain(fh.read(BLOCK_BYTES), delimiter):
+            for block, count in iter(lambda: _plain(fh.read(BLOCK_BYTES), delimiter), (b"", 0)):
                 fh.seek(start + len(block))  # the next block starts after this one
                 text = block.decode("utf-8").replace("\n", delimiter)
-                codes = codes_of.codes(text.split(delimiter), block.count(b"\n"))
+                codes = codes_of.codes(text.split(delimiter), count)
                 if not codes.all():  # csv.reader reports the empty fields' lines
                     break
                 skip = header and tuple(codes_of.names[c] for c in codes[:, 0].tolist()) == _HEADER
@@ -97,16 +97,17 @@ def read_triples(path, fmt: str = "tsv", strict: bool = False) -> Triples:
     return Triples(codes_of.names, users, items, tags)
 
 
-def _plain(data: bytes, delimiter: str) -> bytes:
-    """data through its last newline, or b"" unless csv.reader reads its lines as
-    str.split does: two delimiters each, no quote, CR or NUL, none over the limit."""
+def _plain(data: bytes, delimiter: str) -> tuple[bytes, int]:
+    """data through its last newline and its line count; (b"", 0) unless csv.reader
+    reads them as str.split does: two delimiters each, no quote, CR or NUL, none over the limit."""
     block = data[:data.rfind(b"\n") + 1]
     b = np.frombuffer(block, np.uint8)
     ends, seps = np.flatnonzero(b == 10), np.flatnonzero(b == ord(delimiter))
     # Delimiters 2k and 2k + 1 lie between the ends of lines k - 1 and k.
-    return block if (len(block) <= csv.field_size_limit() and len(seps) == 2 * len(ends)
-                     and not any(c in block for c in (b'"', b"\r", b"\0"))
-                     and (seps[1::2] < ends).all() and (seps[2::2] > ends[:-1]).all()) else b""
+    plain = (len(block) <= csv.field_size_limit() and len(seps) == 2 * len(ends)
+             and not any(c in block for c in (b'"', b"\r", b"\0"))
+             and (seps[1::2] < ends).all() and (seps[2::2] > ends[:-1]).all())
+    return (block, len(ends)) if plain else (b"", 0)
 
 
 class _Interner(dict):

@@ -7,17 +7,17 @@ forest hung under a virtual root.
 
 The islands at phi are the components of the graph {C > phi}, so every level
 comes out of one single-linkage pass (Gower & Ross 1969): bucket the links by
-the number of levels they survive, hook each bucket's ends from the top level
-down, and read the groups off after each bucket. A link's bucket is
-arithmetic on its value and the grid, and each row block sorts its links by
-bucket as it is read, so the pass holds only the links' two ends. An island
-that does not split keeps its parent's members, sums and order, so the tree's
-nodes are its distinct member sets, those of the single-linkage merge tree:
-at most 2n - 1, whatever the grid. Only the nodes' members are sorted, and
-the writers format each node once. The sums that rank the members are exact
-before one last rounding, so each stored entry is added once, in any order, at
-the last level where its two ends share an island; island_sums, which weighs
-the islands for the diversity reports, still adds in ascending id order.
+the levels they survive (arithmetic on the value, checked against the grid's
+thresholds), and hook each bucket's ends from the top level down until one
+island holds every member, as it then does on every level below. Each row
+block compacts its links above start once and sorts them by bucket, so the
+pass holds only the links' two ends. An island that does not split keeps its
+parent's members, sums and order, so the tree's nodes are its distinct member
+sets, those of the single-linkage merge tree: at most 2n - 1, whatever the
+grid. Only the nodes' members are sorted, and the writers format each node
+once. The sums that rank the members are exact before one last rounding, so
+each stored entry is added once, in any order, at the last level where its two
+ends share an island; island_sums, for the diversity reports, adds in id order.
 """
 
 from __future__ import annotations
@@ -64,15 +64,19 @@ class FilterGrid:
         """The number of thresholds below 1."""
         return next(t for t in range(MAX_LEVELS + 1) if self.phi(t) >= 1.0)
 
+    @cached_property
+    def thresholds(self) -> np.ndarray:  # phi(0) to phi(size), as phi computes them
+        return np.array([self.phi(t) for t in range(self.size + 1)])
+
     def bucket(self, values: np.ndarray) -> np.ndarray:
         """How many of the thresholds below 1 each value exceeds, as uint16:
         np.searchsorted over them, without a search. (v - start) / step
         rounds up to within one of the count, which is then checked against
-        phi computed as phi computes it, one step each way."""
+        the thresholds table, one step each way."""
         t = np.ceil((values - self.start) / self.step)
-        t = np.clip(t, 1, self.size).astype(np.intp)
-        t -= self.start + (t - 1) * self.step >= values
-        t += self.start + t * self.step < values
+        t = np.clip(t, 1, self.size, out=t).astype(np.intp)
+        t -= self.thresholds.take(t - 1) >= values
+        t += self.thresholds.take(t) < values
         return np.minimum(t, self.size).astype(np.min_scalar_type(MAX_LEVELS))
 
 
@@ -209,22 +213,25 @@ def build_tree(C: CorrelationMatrix, grid: FilterGrid | None = None) -> IslandTr
         p, q = values.indptr[lo], values.indptr[hi]
         cols, data = values.indices[p:q], values.data[p:q]
         rows = np.repeat(np.arange(lo, hi, dtype=cols.dtype), np.diff(values.indptr[lo:hi + 1]))
-        keep = (rows < cols) & (data > grid.start)
-        code = grid.bucket(data[keep])
-        ends = np.stack([rows[keep], cols[keep]]).take(np.argsort(code, kind="stable"), 1)
+        keep = np.flatnonzero((rows < cols) & (data > grid.start))
+        code = grid.bucket(data.take(keep))
+        keep = keep.take(np.argsort(code, kind="stable"))
+        ends = np.stack([rows.take(keep), cols.take(keep)])
         blocks.append((ends, np.cumsum(np.bincount(code, minlength=grid.size + 1)).tolist()))
         top = max(top, int(code.max(initial=0)))
     # Up to the first phi at or above the largest link, or the last below 1.
-    levels = [grid.phi(t) for t in range(min(top + 1, grid.size))]
+    levels = grid.thresholds[:min(top + 1, grid.size)].tolist()
 
     # labels[t, r]: t * n + smallest rank of r's island at level t - 1; row 0: root.
-    labels = np.zeros((len(levels) + 1, n), dtype=np.intp)
+    labels = np.repeat(np.arange(len(levels) + 1) * n, n).reshape(-1, n)
     root = np.arange(n)
     for t in range(len(levels) - 1, -1, -1):
         links = [ends[:, cuts[t]:cuts[t + 1]] for ends, cuts in blocks if cuts[t] < cuts[t + 1]]
         if links:
             _join(root, *np.concatenate(links, 1))
-        labels[t + 1] = root + (t + 1) * n
+        labels[t + 1] += root
+        if not root.any():  # one island holds everyone; the rows below already say so
+            break
     del blocks
 
     # moved[t - 1, r]: r's island in labels[t - 1] splits in labels[t].
@@ -270,8 +277,10 @@ def build_tree(C: CorrelationMatrix, grid: FilterGrid | None = None) -> IslandTr
         left, length = left + np.minimum(length, 0), np.abs(length, out=length)
         bins = np.repeat(np.arange(0, (hi - lo) * rows, rows), counts) + np.minimum(
             shared.take(ahead.take(length) + left), shared.take(behind.take(length) + left))
-        high = np.rint(values.data[p:q] * scale)
-        low = np.rint(values.data[p:q] * scale ** 2 - high * scale)
+        # Bit for bit rint(v * scale ** 2 - high * scale): every step is exact (Sterbenz).
+        high = np.rint(low := values.data[p:q] * scale)
+        low -= high
+        np.rint(np.multiply(low, scale, out=low), out=low)
         c, d = np.searchsorted(cells, (lo * rows, hi * rows))
         for part, unit in (high, scale), (low, scale ** 2):
             part = np.bincount(bins, part, (hi - lo) * rows).reshape(hi - lo, rows)

@@ -264,7 +264,7 @@ class _CosineRows:
             # floating point, barring overflow and underflow. Zero rows store
             # nothing.
             scale = np.repeat(own[lo:hi], np.diff(indptr[lo:hi + 1]))
-            scale *= gram[indices[p:q]]
+            scale *= gram.take(indices[p:q])
             np.sqrt(scale, out=scale)
             vals /= scale
             np.clip(vals, 0.0, 1.0, out=vals)

@@ -349,7 +349,7 @@ def test_split_path_gives_the_csv_paths_triples(tmp_path, monkeypatch, tail_at, 
     path.write_text(head + body, encoding="utf-8")
     split = read_triples(path)
     assert tail_at == [path.stat().st_size]  # every line took the split path
-    monkeypatch.setattr(tio, "_plain", lambda data, delimiter: b"")
+    monkeypatch.setattr(tio, "_plain", lambda data, delimiter: (b"", 0))
     tail = read_triples(path)
     assert tail_at[1] == (3 if head.startswith("\ufeff") else 0)  # just past a byte-order mark
     # Names in first use, row by row, whatever the path, block or chunk size.

@@ -853,6 +853,108 @@ def test_nodes_match_the_merge_levels_of_a_spanning_tree(C, grid):
     check_nodes(C, grid, sweep_in_two_row_blocks(C, grid))
 
 
+# -- hooking stops at one island -------------------------------------------------
+
+def sweep_spying_on_join(C, grid):
+    """build_tree with two matrix rows per block, and the links it hooked, as
+    (row, column) pairs of matrix positions."""
+    hooked, join = set(), tagnet.percolation._join
+
+    def spy(root, a, b):
+        hooked.update(zip(a.tolist(), b.tolist()))
+        join(root, a, b)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(tagnet.percolation, "_join", spy)
+        patch.setattr(tagnet.percolation, "BLOCK_ROWS", 2)
+        return build_tree(C, grid), hooked
+
+
+def one_island_levels(C, grid):
+    """How many levels, from the first, one island holds every member on."""
+    return oracle_nodes(C, grid)[1][frozenset(C.members)][1] + 1
+
+
+def check_hooking(C, grid):
+    """The sweep matches the merge-level oracle and the exact member order, and
+    hooks just the links above the last level that one island spans (above
+    start when there is none)."""
+    tree, hooked = sweep_spying_on_join(C, grid)
+    check_nodes(C, grid, tree)
+    members, bounds = tree.ids[tree.node_ranks].tolist(), tree.node_start.tolist()
+    for lo, hi in zip(bounds, bounds[1:]):
+        assert members[lo:hi] == oracle_member_order(frozenset(members[lo:hi]), C)
+    whole = one_island_levels(C, grid)
+    floor = tree.levels[whole - 1] if whole else grid.start
+    values = C.dense()
+    i, j = np.triu_indices(C.size, 1)
+    above = values[i, j] > floor
+    assert hooked == set(zip(i[above].tolist(), j[above].tolist()))
+    return tree
+
+
+# The 0.6 and 0.65 links join everyone below phi = 0.6, so the 0.2 and 0.4
+# links are summed but never hooked.
+ONE_ISLAND_BELOW_THE_TOP = np.array([
+    [1.0, 0.9, 0.2, 0.4],
+    [0.9, 1.0, 0.6, 0.2],
+    [0.2, 0.6, 1.0, 0.65],
+    [0.4, 0.2, 0.65, 1.0],
+])
+# Links above the last phi below 1 join everyone on every level.
+ONE_ISLAND_AT_THE_TOP = np.array([
+    [1.0, 1.0, 0.3],
+    [1.0, 1.0, 0.995],
+    [0.3, 0.995, 1.0],
+])
+# Member 3 has a zero signature: it stays apart on every level.
+NEVER_ONE_ISLAND = np.array([
+    [1.0, 0.7, 0.1, 0.0],
+    [0.7, 1.0, 0.35, 0.0],
+    [0.1, 0.35, 1.0, 0.0],
+    [0.0, 0.0, 0.0, 0.0],
+])
+# Above start = 0.3 the 0.6, 0.8 and 0.9 links join everyone. The 0.25 and 0.3
+# links are never hooked, yet their sums put member 2 ahead of member 0.
+SUMMED_NOT_HOOKED = np.array([
+    [1.0, 0.8, 0.25, 0.0],
+    [0.8, 1.0, 0.6, 0.9],
+    [0.25, 0.6, 1.0, 0.3],
+    [0.0, 0.9, 0.3, 1.0],
+])
+
+
+@pytest.mark.parametrize("c, start, joined_below", [
+    (ONE_ISLAND_BELOW_THE_TOP, 0.0, 0.6),
+    (ONE_ISLAND_AT_THE_TOP, 0.0, 1.0),
+    (NEVER_ONE_ISLAND, 0.0, 0.0),
+    (SUMMED_NOT_HOOKED, 0.3, 0.6),
+], ids=["below-the-top", "at-the-top", "never", "phi-start-0.3"])
+@pytest.mark.parametrize("step", [0.05, 0.01])
+def test_hooking_stops_once_one_island_holds_everyone(c, start, joined_below, step):
+    C = CorrelationMatrix.from_dense(c)
+    grid = FilterGrid(start, step)
+    tree = check_hooking(C, grid)
+    # One island holds everyone on the levels below joined_below.
+    assert one_island_levels(C, grid) == sum(phi < joined_below for phi in tree.levels)
+
+
+def test_links_at_or_below_start_still_order_the_members():
+    def root_members(c, grid):
+        tree = build_tree(CorrelationMatrix.from_dense(c), grid)
+        return tree.ids[tree.node_ranks[:tree.node_start[1]]].tolist()
+
+    cut = np.where(SUMMED_NOT_HOOKED > 0.3, SUMMED_NOT_HOOKED, 0.0)
+    for grid in (FilterGrid(0.3, 0.05), FilterGrid(0.3, 0.01)):
+        assert root_members(SUMMED_NOT_HOOKED, grid) == [1, 3, 2, 0]
+        assert root_members(cut, grid) == [1, 3, 0, 2]
+
+
+@given(C=stored_matrices(), grid=grids)
+def test_only_links_above_the_last_one_island_level_are_hooked(C, grid):
+    check_hooking(C, grid)
+
+
 @functools.cache
 def bench_corpus_module():
     """bench/corpus.py, the generator of the benchmark's heavy-tailed corpora,

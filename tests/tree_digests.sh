@@ -2,9 +2,11 @@
 # Tree digests: `tagnet tree` over the benchmark's seed-1 tag corpus (T, 600
 # tags) and user corpus (U, 4,500 users), with the benchmark's arguments at
 # the default grid and at the fine grid (--phi-step 0.002, 500 levels, with
-# singletons), must write the pinned bytes: the sha256 of the JSON file
-# followed by the DOT file. The island sums are exact, so the bytes do not
-# depend on the numpy version or on the column order of the stored cosines.
+# singletons), and U at --phi-start 0.3, where the links at or below start
+# are summed but never hooked, must write the pinned bytes: the sha256 of the
+# JSON file followed by the DOT file. The island sums are exact, so the bytes
+# do not depend on the numpy version or on the column order of the stored
+# cosines.
 # The corpora come from bench/corpus.py.
 # Run from the repository root: bash tests/tree_digests.sh
 set -euo pipefail
@@ -39,4 +41,6 @@ check 3260edd265680c69d24984498f5689acd73754e97e92d3f2bc7602f0a28b424f T tags 60
   --phi-step 0.002 --include-singletons
 check 53352d8f3eb5f9a0a52539584dfafd834a946e333d5d1693e369e13d4948b396 U users 4500 \
   --phi-step 0.002 --include-singletons
+check e1e6c9754d7605867b6ecc1a6e0415130b0dfc0ef9e7c040282d461ac0e8f650 U users 4500 \
+  --phi-start 0.3
 exit "$status"
