@@ -3,7 +3,8 @@
 A tag spectrum counts how often each tag is attributed to a user's items (or
 to the whole sample). The sine matrix sqrt(1 - C^2) of a tag correlation
 matrix acts as a distance between tags; a user's diversity is the bilinear
-form of their spectrum under that metric.
+form of their spectrum under that metric. An activity report is per node of
+the tag tree, whose islands share its members; records is its per-island view.
 """
 
 from __future__ import annotations
@@ -141,30 +142,37 @@ class IslandActivity:
 
 @dataclass(eq=False)
 class ActivityReport:
-    """One user's activity per island against the sample. The arrays are the
-    report, indexed by island id; records is a view built on first access."""
+    """One user's activity per tree node against the sample: p_sample and p_user
+    are indexed by node, and node is the tree's island -> node map. nodes and
+    the per-island records are views built on first access."""
 
     user: int | str
     p_sample: np.ndarray
     p_user: np.ndarray
+    node: np.ndarray
+
+    @cached_property
+    def nodes(self) -> list[tuple[float, float, float | None, tuple[int, int, int]]]:
+        """Each node's (p_sample, p_user, ratio, color)."""
+        shares = zip(self.p_sample.tolist(), self.p_user.tolist())
+        ratios = [(s, u, u / s if s > 0 else None) for s, u in shares]
+        return [(s, u, r, activity_color(r)) for s, u, r in ratios]
 
     @cached_property
     def records(self) -> dict[int, IslandActivity]:
-        shares = zip(self.p_sample.tolist(), self.p_user.tolist())
-        ratios = [(s, u, u / s if s > 0 else None) for s, u in shares]
-        return {k: IslandActivity(k, s, u, r, activity_color(r))
-                for k, (s, u, r) in enumerate(ratios)}
+        return {k: IslandActivity(k, *self.nodes[j]) for k, j in enumerate(self.node.tolist())}
 
 
 def island_activity(
     tree: IslandTree, user_spec: TagSpectrum, sample_spec: TagSpectrum
 ) -> ActivityReport:
-    """Probability mass each island holds for the sample and for one user.
+    """Share of the sample's and of one user's attributions on each tree node.
 
     p_sample (p_user) is the share of the sample's (user's) tag attributions
-    falling on the island's member tags; the ratio r = p_user / p_sample
-    exceeds 1 exactly where the user over-uses the island. Islands with no
-    sample mass get an undefined ratio.
+    falling on the node's member tags; the ratio r = p_user / p_sample
+    exceeds 1 exactly where the user over-uses the node's islands. Nodes with
+    no sample mass get an undefined ratio. The report is per node; its records
+    are the per-island view.
     """
     if tree.family != TAG:
         raise ValueError("island activity is defined over tag islands")
@@ -173,8 +181,8 @@ def island_activity(
     if (u_total := user_spec.total) <= 0:
         raise ValueError("user spectrum is empty")
 
-    s, u = tree.island_sums(sample_spec.counts, user_spec.counts)
-    return ActivityReport(user_spec.owner, s / s_total, u / u_total)
+    s, u = tree.node_sums(sample_spec.counts, user_spec.counts)
+    return ActivityReport(user_spec.owner, s / s_total, u / u_total, tree.node)
 
 
 def activity_color(ratio: float | None) -> tuple[int, int, int]:

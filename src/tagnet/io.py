@@ -187,8 +187,8 @@ def write_tree_json(tree: IslandTree, path, report: ActivityReport | None = None
     bytes are json.dump(doc, indent=2, sort_keys=True)'s plus a final newline:
     sorted keys, a two-space indent, ASCII with \\uXXXX escapes (surrogate
     pairs above U+FFFF), floats as Python's shortest repr and null for None.
-    The islands of one node share its members and, in a report, its shares
-    (see _check_report), so each node's text is formatted once.
+    The islands of one node share its members and, in a report, its shares,
+    so each node's text is formatted once.
     """
     _check_report(tree, report)
     names = [tree.names[m] for m in tree.ids.tolist()]
@@ -203,11 +203,10 @@ def write_tree_json(tree: IslandTree, path, report: ActivityReport | None = None
     close, key = "\n    },", ",\n      "
     color = shares = ratio = [""] * len(sizes)
     if report is not None:
-        activity = [report.records[k] for k in tree.node_first.tolist()]
-        color = [f'{key}"color": {_array(list(map(str, a.color)), 6)}' for a in activity]
-        shares = [f'{key}"p_sample": {json.dumps(a.p_sample)}{key}"p_user": {json.dumps(a.p_user)}'
-                  for a in activity]
-        ratio = [f'{key}"r": {json.dumps(a.ratio)}' for a in activity]
+        color = [f'{key}"color": {_array(list(map(str, c)), 6)}' for *_, c in report.nodes]
+        shares = [f'{key}"p_sample": {json.dumps(s)}{key}"p_user": {json.dumps(u)}'
+                  for s, u, *_ in report.nodes]
+        ratio = [f'{key}"r": {json.dumps(r)}' for _, _, r, _ in report.nodes]
     chars = quoted[rank[tree.node_start[:-1]]].tolist()
     head = np.array([f'{close}\n    {{\n      "characteristic": {c}{k}{key}"id": '
                      for c, k in zip(chars, color)], object)
@@ -271,7 +270,7 @@ def write_tree_dot(
         label = tree.names[member[j]].replace("\\", "\\\\").replace('"', '\\"')
         attrs[j] = f'label="{label}", width={width:.3f}, height={width:.3f}'
         if report is not None:
-            color = report.records[tree.node_first[j]].color
+            *_, color = report.nodes[j]
             attrs[j] += f', style=filled, fillcolor="#{color[0]:02x}{color[1]:02x}{color[2]:02x}"'
     lines = ["digraph islands {", "  rankdir=TB;", "  node [shape=square, fixedsize=true];"]
     lines += [f"  n{k} [{attrs[j]}];" for k, j in zip(ks, js)]
@@ -283,19 +282,15 @@ def write_tree_dot(
 
 
 def _check_report(tree: IslandTree, report: ActivityReport | None) -> None:
-    """Reject a report that does not cover the tree, holds a share or a ratio
-    p_user / p_sample that is NaN, infinite or negative (JSON has no text for
-    the first two), or whose shares differ between the islands of one node: the
-    writers format one text per node. Shares compare bit for bit, since 0.0 and
-    -0.0 print apart. island_activity gives each node one set of shares."""
+    """Reject a report that is not one pair of shares per node on the tree's own
+    node map, or that holds a share or a ratio p_user / p_sample that is NaN,
+    infinite or negative: JSON has no text for the first two."""
     if report is None:
         return
+    if not (len(report.p_sample) == len(report.p_user) == tree.node_start.size - 1
+            and np.array_equal(report.node, tree.node)):
+        raise ValueError("activity report does not cover this tree")
     shares = np.stack([report.p_sample, report.p_user]).astype(float)
-    ratios = [u / s for s, u in shares.T.tolist() if s > 0]  # checked before records divides
+    ratios = [u / s for s, u in shares.T.tolist() if s > 0]  # checked before nodes divides
     if not ((0.0 <= shares) & (shares < np.inf)).all() or math.inf in ratios:
         raise ValueError("activity shares and ratios must be finite and nonnegative")
-    if report.records.keys() != set(range(len(tree.level))):
-        raise ValueError("activity report does not cover this tree")
-    bits = shares.view(np.int64)
-    if not np.array_equal(bits, bits[:, tree.node_first[tree.node]]):
-        raise ValueError("activity shares differ between islands of one node")

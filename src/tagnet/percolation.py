@@ -17,7 +17,8 @@ sets, those of the single-linkage merge tree: at most 2n - 1, whatever the
 grid. Only the nodes' members are sorted, and the writers format each node
 once. The sums that rank the members are exact before one last rounding, so
 each stored entry is added once, in any order, at the last level where its two
-ends share an island; island_sums, for the diversity reports, adds in id order.
+ends share an island; node_sums adds in id order, once per node: a diversity
+report is per node, and its records are the per-island view.
 """
 
 from __future__ import annotations
@@ -110,8 +111,7 @@ class IslandTree:
     j = node[k], characteristic element first. The nodes are the distinct
     member sets, in (smallest member, first level) order; the islands of one
     node share its members. ids holds the member ids ascending, as the matrix
-    does; names maps them to external names. node_first and islands are built
-    on first use.
+    does; names maps them to external names. islands is built on first use.
     """
 
     family: str
@@ -123,11 +123,6 @@ class IslandTree:
     node: np.ndarray
     node_ranks: np.ndarray
     node_start: np.ndarray
-
-    @cached_property
-    def node_first(self) -> np.ndarray:
-        """Each node's first island."""
-        return np.unique(self.node, return_index=True)[1]
 
     @cached_property
     def islands(self) -> list[Island]:
@@ -155,14 +150,14 @@ class IslandTree:
         """The ids; each node's entries' indices there, ascending in each node."""
         return self.ids.tolist(), self.sorted_in_nodes(self.node_ranks)
 
-    def island_sums(self, *weights: dict[int, float]) -> list[np.ndarray]:
-        """Each island's summed member weight per mapping (absent members add
-        0), added one member at a time in ascending id order from 0.0. Each
-        mapping is read once per id; bincount sums each node's entries once,
-        and the islands take their node's sums."""
+    def node_sums(self, *weights: dict[int, float]) -> list[np.ndarray]:
+        """Each node's summed member weight per mapping (absent members add 0),
+        added one member at a time in ascending id order from 0.0. A report is
+        per node; its records give island k node[k]'s sums. Each mapping is
+        read once per id; bincount sums each node's entries once."""
         ids, column = self.sum_index
         vectors = (np.array([w.get(m, 0) for m in ids]) for w in weights)
-        return [np.bincount(self.entry_node, x[column])[self.node] for x in vectors]
+        return [np.bincount(self.entry_node, x[column]) for x in vectors]
 
 
 def build_tree(C: CorrelationMatrix, grid: FilterGrid | None = None) -> IslandTree:

@@ -372,12 +372,21 @@ def test_island_activity_builds_no_records(monkeypatch):
     def refuse(*args):
         raise AssertionError("a record view was built")
 
-    monkeypatch.setattr(tagnet.diversity, "IslandActivity", refuse)
-    monkeypatch.setattr(tagnet.diversity, "activity_color", refuse)
-    report = island_activity(tree, user, sample)
-    assert len(report.p_sample) == len(report.p_user) == len(tree.islands)
-    with pytest.raises(AssertionError, match="record view"):
-        report.records
+    with monkeypatch.context() as patch:
+        patch.setattr(tagnet.diversity, "IslandActivity", refuse)
+        patch.setattr(tagnet.diversity, "activity_color", refuse)
+        report = island_activity(tree, user, sample)
+        with pytest.raises(AssertionError, match="record view"):
+            report.records
+    # One pair of shares per node; every island's record holds its node's pair.
+    assert len(report.p_sample) == len(report.p_user) == tree.node_start.size - 1
+    assert report.node is tree.node
+    assert len(tree.islands) > tree.node_start.size - 1  # some node has several islands
+    for isl in tree.islands:
+        j, ids, record = tree.node[isl.id], sorted(isl.members), report.records[isl.id]
+        for spec, share, node_share in ((sample, record.p_sample, report.p_sample[j]),
+                                        (user, record.p_user, report.p_user[j])):
+            assert share == node_share == _added_in_order(spec.counts, ids) / spec.total
 
 
 def test_records_view_matches_per_island_formula():

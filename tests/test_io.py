@@ -176,8 +176,7 @@ def test_tree_json_report_mismatch_rejected(tmp_path):
     tree = _identity_tree()
     sample = TagSpectrum("sample", {0: 1, 1: 1, 2: 1})
     user = TagSpectrum(0, {0: 1})
-    report = island_activity(tree, user, sample)
-    del report.records[max(report.records)]
+    report = island_activity(_identity_tree(4), user, sample)
     with pytest.raises(ValueError):
         write_tree_json(tree, tmp_path / "t.json", report=report)
 
@@ -360,8 +359,8 @@ SHARES = st.floats(min_value=0.0, allow_infinity=False)
 @st.composite
 def trees_and_reports(draw):
     """A tag tree over drawn names and grid, with or without a report of drawn
-    shares, one per node and the same for each of its islands, as
-    island_activity's; zeros in p_sample leave those islands' ratios undefined."""
+    shares, one pair per node, as island_activity's; zeros in p_sample leave
+    those nodes' islands' ratios undefined."""
     n = draw(st.integers(min_value=1, max_value=6))
     c = np.eye(n)
     for i in range(n):
@@ -377,7 +376,7 @@ def trees_and_reports(draw):
     k = tree.node_start.size - 1
     p_sample = draw(st.lists(st.just(0.0) | SHARES, min_size=k, max_size=k))
     p_user = draw(st.lists(SHARES, min_size=k, max_size=k))
-    return tree, ActivityReport("u", np.array(p_sample)[tree.node], np.array(p_user)[tree.node])
+    return tree, ActivityReport("u", np.array(p_sample), np.array(p_user), tree.node)
 
 
 def ratio_overflows(report):
@@ -521,53 +520,65 @@ def test_triples_are_written_through_a_fifo(tmp_path):
     assert sorted(os.listdir(tmp_path)) == ["t.fifo"]
 
 
-# -- the writers format one text per node -------------------------------------
-# So a report must give every island of a node the same shares, bit for bit;
+# -- the writers check a report before they write ------------------------------
+# A report holds one pair of shares per node of its own tree, as
 # island_activity's do. JSON has no text for NaN or infinity.
 
 TREE_WRITERS = [pytest.param(write_tree_json, id="json"), pytest.param(write_tree_dot, id="dot")]
+NODES = CHAIN.node_start.size - 1
 
 
 def _refused(write, tmp_path, report):
     """The error with which write refuses report over CHAIN, leaving the old
-    file's bytes."""
-    path = tmp_path / "t.out"
+    file's bytes, or no file where there was none."""
+    path, absent = tmp_path / "t.out", tmp_path / "absent.out"
     path.write_bytes(b"OLD CONTENT\n")
     with pytest.raises(ValueError) as raised:
         write(CHAIN, path, report=report)
-    assert path.read_bytes() == b"OLD CONTENT\n"
+    with pytest.raises(ValueError):
+        write(CHAIN, absent, report=report)
+    assert path.read_bytes() == b"OLD CONTENT\n" and not absent.exists()
     return str(raised.value)
 
 
 @pytest.mark.parametrize("write", TREE_WRITERS)
-def test_writers_reject_a_report_whose_shares_differ_within_a_node(tmp_path, write):
-    half = np.full(len(CHAIN.level), 0.5)
-    islands = np.flatnonzero(CHAIN.node == np.bincount(CHAIN.node).argmax())
-    assert islands.size > 1
-    for within, first in [(0.25, 0.5), (-0.0, 0.0), (0.0, -0.0)]:
-        shares = half.copy()
-        shares[islands] = within
-        shares[islands[0]] = first
-        for report in (ActivityReport("u", shares, half), ActivityReport("u", half, shares)):
-            assert "differ" in _refused(write, tmp_path, report)
+def test_writers_reject_a_report_from_another_tree(tmp_path, write):
+    # The same member count, island count and node count as CHAIN, but {1, 2}
+    # is the node that lasts, so the islands map to other nodes.
+    other = build_tree(CorrelationMatrix.from_dense([[1.0, 0.0, 0.0], [0.0, 1.0, 0.2],
+                                                     [0.0, 0.2, 1.0]]))
+    assert other.node.size == CHAIN.node.size and other.node_start.size == NODES + 1
+    assert not np.array_equal(other.node, CHAIN.node)
+    half = np.full(NODES, 0.5)
+    for report in (
+        _sparse_sample_report(other),  # another node map
+        _sparse_sample_report(LONG_PHI),  # fewer nodes and islands
+        ActivityReport("u", half, half, CHAIN.node[::-1]),  # the map reversed
+        ActivityReport("u", half[1:], half[1:], CHAIN.node),  # a node short
+        ActivityReport("u", half, half[1:], CHAIN.node),  # p_user a node short
+        ActivityReport("u", *[np.full(CHAIN.node.size, 0.5)] * 2, CHAIN.node),  # per island
+    ):
+        assert "does not cover" in _refused(write, tmp_path, report)
+    write(CHAIN, tmp_path / "t.out", report=_sparse_sample_report(CHAIN))  # its own
 
 
 @pytest.mark.parametrize("write", TREE_WRITERS)
 @pytest.mark.parametrize("share", [np.nan, np.inf, -np.inf, -0.5, -5e-324])
 def test_writers_reject_a_share_that_json_cannot_hold_or_is_negative(tmp_path, write, share):
-    half, bad = np.full(len(CHAIN.level), 0.5), np.full(len(CHAIN.level), share)
-    for report in (ActivityReport("u", bad, half), ActivityReport("u", half, bad)):
+    half, bad = np.full(NODES, 0.5), np.full(NODES, share)
+    for report in (ActivityReport("u", bad, half, CHAIN.node),
+                   ActivityReport("u", half, bad, CHAIN.node)):
         assert "finite and nonnegative" in _refused(write, tmp_path, report)
 
 
 @pytest.mark.parametrize("write", TREE_WRITERS)
 def test_writers_reject_a_report_whose_ratio_overflows(tmp_path, write):
-    ones = np.ones(len(CHAIN.level))
-    report = ActivityReport("u", np.full(len(CHAIN.level), 5e-324), ones)
+    ones = np.ones(NODES)
+    report = ActivityReport("u", np.full(NODES, 5e-324), ones, CHAIN.node)
     assert [r.ratio for r in report.records.values()] == [math.inf] * len(CHAIN.level)
     assert "finite and nonnegative" in _refused(write, tmp_path, report)
     # The largest ratio below the overflow is written, as a finite number.
-    report = ActivityReport("u", np.full(len(CHAIN.level), 2.0 ** -1023), ones)
+    report = ActivityReport("u", np.full(NODES, 2.0 ** -1023), ones, CHAIN.node)
     write(CHAIN, tmp_path / "t.out", report=report)
     if write is write_tree_json:
         doc = json.loads((tmp_path / "t.out").read_text(), parse_constant=_no_constant)

@@ -637,7 +637,6 @@ def test_islands_read_their_node(C, grid):
     tree = sweep_in_two_row_blocks(C, grid)
     nodes = tree.node.tolist()
     first = [nodes.index(j) for j in range(tree.node_start.size - 1)]
-    assert tree.node_first.tolist() == first
     heads = tree.ids[tree.node_ranks[tree.node_start[:-1]]].tolist()
     for isl, j in zip(tree.islands, nodes):  # one member set per node
         assert isl.members is tree.islands[first[j]].members
@@ -681,11 +680,13 @@ def added_in_ascending_id_order(members, weights):
 @settings(max_examples=300)
 @given(C=stored_matrices(), grid=grids, weights=WEIGHT_MAPS)
 @example(C=DESCENDING_ROOT, grid=FilterGrid(), weights=[FRACTIONS])
-def test_island_sums_add_members_one_at_a_time_in_ascending_id_order(C, grid, weights):
+def test_node_sums_add_members_one_at_a_time_in_ascending_id_order(C, grid, weights):
     tree = build_tree(C, grid)
     expected = [[added_in_ascending_id_order(isl.members, w) for isl in tree.islands]
                 for w in weights]
-    assert [sums.tolist() for sums in tree.island_sums(*weights)] == expected
+    sums = tree.node_sums(*weights)
+    assert [s.size for s in sums] == [tree.node_start.size - 1] * len(weights)
+    assert [s[tree.node].tolist() for s in sums] == expected  # each island reads its node's
     assert tree.sum_index is tree.sum_index
 
 
