@@ -10,14 +10,12 @@ from .model import (
     TAG,
     USER,
     DataError,
-    DegreeStats,
     EntityRegistry,
     TaggingEvent,
     TripartiteNetwork,
     Triples,
     UnknownEntityError,
     build_network,
-    degree_stats,
 )
 from .projection import (
     CorrelationMatrix,
@@ -60,7 +58,6 @@ __all__ = [
     "ActivityReport",
     "CorrelationMatrix",
     "DataError",
-    "DegreeStats",
     "EntityRegistry",
     "FilterGrid",
     "Island",
@@ -82,7 +79,6 @@ __all__ = [
     "build_tree",
     "correlation_matrix",
     "cosine",
-    "degree_stats",
     "entropy",
     "generate",
     "island_activity",

@@ -20,7 +20,7 @@ from .diversity import (
     tag_spectrum,
 )
 from .io import _create, read_triples, write_tree_dot, write_tree_json, write_triples
-from .model import ITEM, TAG, USER, DataError, build_network, degree_stats
+from .model import ITEM, TAG, USER, DataError, build_network
 from .percolation import FilterGrid, build_tree
 from .projection import VIEWS, correlation_matrix, top_n
 from .synth import generate, load_config
@@ -162,12 +162,12 @@ def _load_network(args):
 
 
 def cmd_stats(args) -> int:
-    stats = degree_stats(_load_network(args))
-    print(f"users: {stats.n_users}")
-    print(f"items: {stats.n_items}")
-    print(f"tags: {stats.n_tags}")
-    print(f"items per user: {stats.items_per_user:.6f}")
-    print(f"users per item: {stats.users_per_item:.6f}")
+    net = _load_network(args)
+    pairs, users, items = len(net.pair_users), len(net.users), len(net.items)
+    print(f"users: {users}\nitems: {items}\ntags: {len(net.tags)}")
+    # Mean ownership degrees; a network without users or items has no pairs.
+    print(f"items per user: {pairs / max(users, 1):.6f}")
+    print(f"users per item: {pairs / max(items, 1):.6f}")
     return EXIT_OK
 
 

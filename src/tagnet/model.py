@@ -3,20 +3,20 @@
 A tagging event is one user describing one item with a set of tags. When a
 (user, item) pair carries k distinct tags, each of its k links gets weight
 exactly 1/k, so the link weights of every owned pair sum to 1. The network
-also holds two sparse incidence matrices: ownership B (users x items, 0/1)
-and attribution W (items x tags, each entry the float sum of the 1/k weights
-of its links). W adds its float weights one at a time, so an entry can differ
-in the last bit from the exact sum rounded once.
+also holds two sparse incidence matrices, read with incidence(rows, cols):
+ownership B = incidence(USER, ITEM) (users x items, 0/1) and attribution
+W = incidence(ITEM, TAG) (items x tags, each entry the float sum of the 1/k
+weights of its links), and their transposes. W adds its float weights one at
+a time, so an entry can differ in the last bit from the exact sum rounded once.
 """
 
 from __future__ import annotations
 
 import logging
-from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
 from operator import add
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable
 
 import numpy as np
 import scipy.sparse as sp
@@ -164,9 +164,11 @@ class TripartiteNetwork:
     pair_ptr, a CSR index into link_tags (pair p has the tag ids
     link_tags[pair_ptr[p]:pair_ptr[p + 1]]); each link weighs 1/k for a
     pair of k tags. ownership, the set of owned (user_id, item_id) pairs,
-    is built on first use. incidence maps a (row kind, column kind) pair to
-    B, B^T, W or W^T as scipy CSR matrices with int32 indices, ascending in
-    every row, each built on its first lookup: a tag view never builds B.
+    is built on first use. incidence(rows, cols) returns B, B^T, W or W^T
+    for the (row kind, column kind) keys of INCIDENCE, as scipy CSR matrices
+    with int32 indices, ascending in every row. Each is built on its first
+    call and returned as the same object on every later one: a tag view
+    never builds B.
     A matrix of B's structure holds pair indices, so a user's pairs are one
     row slice. projection.correlation_matrix caches full cosine rows per
     view in _grids.
@@ -185,9 +187,11 @@ class TripartiteNetwork:
         #: view -> projection._CosineRows
         self._grids: dict[str, object] = {}
 
-    @property
-    def incidence(self) -> Mapping[tuple[str, str], sp.csr_matrix]:
-        return _Incidence(self)
+    #: (row kind, column kind) -> the attribute that builds and keeps B, B^T, W or W^T
+    INCIDENCE = {(USER, ITEM): "_b", (ITEM, USER): "_bt", (ITEM, TAG): "_w", (TAG, ITEM): "_wt"}
+
+    def incidence(self, rows: str, cols: str) -> sp.csr_matrix:
+        return getattr(self, self.INCIDENCE[rows, cols])
 
     @cached_property
     def _pair_at(self) -> sp.csr_matrix:
@@ -242,24 +246,6 @@ class TripartiteNetwork:
         pairs = zip(self.pair_users.tolist(), self.pair_items.tolist())
         for p, (uid, iid) in enumerate(pairs):
             yield uid, iid, tuple(tags[ptr[p]:ptr[p + 1]])
-
-
-@dataclass(eq=False)
-class _Incidence(Mapping):
-    """TripartiteNetwork.incidence: a lookup reads the network attribute that
-    builds its matrix on first use and keeps it."""
-
-    net: TripartiteNetwork
-    ATTRIBUTE = {(USER, ITEM): "_b", (ITEM, USER): "_bt", (ITEM, TAG): "_w", (TAG, ITEM): "_wt"}
-
-    def __getitem__(self, key: tuple[str, str]) -> sp.csr_matrix:
-        return getattr(self.net, self.ATTRIBUTE[key])
-
-    def __iter__(self) -> Iterator[tuple[str, str]]:
-        return iter(self.ATTRIBUTE)
-
-    def __len__(self) -> int:
-        return len(self.ATTRIBUTE)
 
 
 def build_network(
@@ -342,33 +328,6 @@ def _reject(message: str, strict: bool, log: logging.Logger = logger) -> None:
     if strict:
         raise DataError(message)
     log.warning("skipping %s", message)
-
-
-@dataclass(frozen=True)
-class DegreeStats:
-    """Degree summary of a network: counts and ownership means."""
-
-    n_users: int
-    n_items: int
-    n_tags: int
-    items_per_user: float
-    users_per_item: float
-
-
-def degree_stats(net: TripartiteNetwork) -> DegreeStats:
-    """Entity counts and mean ownership degrees.
-
-    An empty network yields an all-zero summary.
-    """
-    pairs = len(net.pair_users)
-    n_users, n_items, n_tags = len(net.users), len(net.items), len(net.tags)
-    return DegreeStats(
-        n_users=n_users,
-        n_items=n_items,
-        n_tags=n_tags,
-        items_per_user=pairs / n_users if n_users else 0.0,
-        users_per_item=pairs / n_items if n_items else 0.0,
-    )
 
 
 def left_sum(values):

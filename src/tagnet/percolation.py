@@ -61,13 +61,14 @@ class FilterGrid:
         return self.start + t * self.step
 
     @cached_property
-    def size(self) -> int:
-        """The number of thresholds below 1."""
-        return next(t for t in range(MAX_LEVELS + 1) if self.phi(t) >= 1.0)
+    def thresholds(self) -> np.ndarray:  # phi(0) to phi(size), as phi computes them
+        table = self.start + np.arange(MAX_LEVELS + 1) * self.step
+        return table[:np.argmax(table >= 1.0) + 1]
 
     @cached_property
-    def thresholds(self) -> np.ndarray:  # phi(0) to phi(size), as phi computes them
-        return np.array([self.phi(t) for t in range(self.size + 1)])
+    def size(self) -> int:
+        """The number of thresholds below 1."""
+        return len(self.thresholds) - 1
 
     def bucket(self, values: np.ndarray) -> np.ndarray:
         """How many of the thresholds below 1 each value exceeds, as uint16:

@@ -78,7 +78,7 @@ def signature_for_view(
     """Signature of one entity under a named view: its incidence matrix row."""
     family, axis = _view(view)
     _registry(net, family).check(entity_id)
-    rows = net.incidence[family, axis]
+    rows = net.incidence(family, axis)
     lo, hi = rows.indptr[entity_id], rows.indptr[entity_id + 1]
     entries = dict(zip(rows.indices[lo:hi].tolist(), rows.data[lo:hi].tolist()))
     return SignatureVector(family, entity_id, axis, entries)
@@ -191,7 +191,7 @@ def correlation_matrix(
     if cache is None:
         axis = VIEWS[view][1]
         cache = net._grids[view] = _CosineRows(
-            net.incidence[kind, axis], net.incidence[axis, kind]
+            net.incidence(kind, axis), net.incidence(axis, kind)
         )
         values = cache._cosines(wanted, family=False)
     else:
@@ -283,7 +283,7 @@ def top_n(net: TripartiteNetwork, family: str, n: int) -> list[int]:
     if kind == TAG:
         usage = net.tag_link_counts
     else:
-        usage = np.diff(net.incidence[VIEWS[DEFAULT_VIEW[kind]]].indptr)
+        usage = np.diff(net.incidence(*VIEWS[DEFAULT_VIEW[kind]]).indptr)
     return np.argsort(-usage, kind="stable")[:n].tolist()
 
 

@@ -112,8 +112,8 @@ def load_config(path) -> PlantedConfig:
     types = {"int": int, "float": float}
     parsers = {f.name: types[f.type] for f in fields(PlantedConfig)}
     values: dict[str, int | float] = {}
-    try:
-        text = Path(path).read_bytes().decode("utf-8")
+    try:  # a leading byte-order mark is dropped after decoding: offsets count it
+        text = Path(path).read_bytes().decode("utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: undecodable byte at offset {exc.start}") from exc
     # split at universal newlines, as a text-mode read splits them

@@ -211,6 +211,20 @@ def test_golden_stats(capsys):
     ))
 
 
+@pytest.mark.parametrize("text, out", [
+    ("".join(f"{u}\t{i}\tT\n" for u in "ab" for i in "xyz"),
+     "users: 2\nitems: 3\ntags: 1\n"
+     "items per user: 3.000000\nusers per item: 2.000000\n"),
+    ("user\titem\ttag\n",
+     "users: 0\nitems: 0\ntags: 0\n"
+     "items per user: 0.000000\nusers per item: 0.000000\n"),
+], ids=["shared-items", "header-only"])
+def test_stats_counts_and_mean_degrees(tmp_path, capsys, text, out):
+    path = tmp_path / "in.tsv"
+    path.write_text(text, encoding="utf-8")
+    assert run_cli(capsys, "stats", "--input", str(path)) == (EXIT_OK, out)
+
+
 @pytest.mark.parametrize("stem, args", [
     ("tree-tags", ["--phi-step", "0.25"]),
     ("tree-users", ["--family", "users", "--phi-step", "0.2", "--include-singletons"]),
@@ -274,6 +288,19 @@ def test_synth_output_is_a_function_of_the_seed(tmp_path, capsys):
         outputs.append(out.read_bytes())
     assert outputs[0] == outputs[1]
     assert outputs[2] != outputs[0]
+
+
+@pytest.mark.parametrize("text", [SYNTH_CONFIG, SYNTH_CONFIG.partition("\n")[2]],
+                         ids=["comment-first", "key-first"])
+def test_synth_config_may_start_with_a_byte_order_mark(tmp_path, capsys, text):
+    corpora = []
+    for name, mark in [("plain", b""), ("bom", b"\xef\xbb\xbf")]:
+        config, out = tmp_path / f"{name}.cfg", tmp_path / f"{name}.tsv"
+        config.write_bytes(mark + text.encode("utf-8"))
+        argv = ["synth", "--config", str(config), "--out", str(out)]
+        assert run_cli(capsys, *argv) == (EXIT_OK, f"wrote 12 events to {out}\n")
+        corpora.append(out.read_bytes())
+    assert corpora[0] == corpora[1]
 
 
 def test_out_of_range_synth_config_is_data_error(tmp_path, capsys):

@@ -92,12 +92,12 @@ def assert_same_network(net, ref):
         assert getattr(net, kind).names == getattr(ref, kind).names
         assert getattr(net, kind).indices == getattr(ref, kind).indices
     assert list(net.iter_pairs()) == list(ref.iter_pairs())
-    # Each key looked up on both sides: a mapping that builds its matrices on
-    # first use may hold none yet.
+    # Each matrix read on both sides: a network builds its matrices on first
+    # use, so it may hold none yet.
     keys = [("user", "item"), ("item", "user"), ("item", "tag"), ("tag", "item")]
-    assert list(net.incidence.keys()) == list(ref.incidence.keys()) == keys
+    assert list(net.INCIDENCE) == list(ref.INCIDENCE) == keys
     for key in keys:
-        m, r = net.incidence[key], ref.incidence[key]
+        m, r = net.incidence(*key), ref.incidence(*key)
         assert m.shape == r.shape
         assert np.array_equal(m.indptr, r.indptr) and np.array_equal(m.indices, r.indices)
         assert np.array_equal(m.data, r.data)

@@ -9,13 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tagnet import (DataError, TaggingEvent, build_network, correlation_matrix,
-                    degree_stats, read_triples)
+                    read_triples)
 
 from conftest import ev, net_of
 
 
 def attribution(net):
-    return net.incidence["item", "tag"].toarray().tolist()
+    return net.incidence("item", "tag").toarray().tolist()
 
 
 def test_two_tags_split_weight_in_half():
@@ -62,14 +62,14 @@ def test_weight_sums_are_exactly_one_per_pair():
         assert names == merged[net.users.name_of(uid), net.items.name_of(iid)]
     # k distinct tags per pair, so its k links of 1/k sum to exactly 1; in W
     # each owned pair adds 1 to its item's row, one rounding per link
-    audience = np.diff(net.incidence["item", "user"].indptr)
-    row_sums = net.incidence["item", "tag"].sum(axis=1).A1
+    audience = np.diff(net.incidence("item", "user").indptr)
+    row_sums = net.incidence("item", "tag").sum(axis=1).A1
     assert row_sums == pytest.approx(audience, rel=len(net.link_tags) * 2.0**-52)
 
 
 def test_ownership_matches_link_projection():
     net = net_of(ev("a", "x", "A"), ev("a", "y", "B"), ev("b", "x", "A", "C"))
-    from_incidence = set(zip(*net.incidence["user", "item"].nonzero()))
+    from_incidence = set(zip(*net.incidence("user", "item").nonzero()))
     assert net.ownership == from_incidence
 
 
@@ -153,23 +153,6 @@ def test_build_is_order_insensitive_up_to_ids(events, seed):
     assert _by_name(build_network(events)) == _by_name(build_network(shuffled))
 
 
-def test_degree_stats_shared_items():
-    net = net_of(
-        ev("a", "x", "T"), ev("a", "y", "T"), ev("a", "z", "T"),
-        ev("b", "x", "T"), ev("b", "y", "T"), ev("b", "z", "T"),
-    )
-    stats = degree_stats(net)
-    assert stats.items_per_user == 3.0
-    assert stats.users_per_item == 2.0
-
-
-def test_degree_stats_empty_network():
-    stats = degree_stats(build_network([]))
-    assert stats.n_users == stats.n_items == stats.n_tags == 0
-    assert stats.items_per_user == 0.0
-    assert stats.users_per_item == 0.0
-
-
 def test_tag_link_counts_count_links():
     net = net_of(ev("mu", "i", "I1", "I2"), ev("nu", "i", "I1"))
     assert net.tag_link_counts.tolist() == [2, 1]
@@ -178,14 +161,15 @@ def test_tag_link_counts_count_links():
 def test_incidence_matrices_hold_ownership_and_weight_sums():
     net = net_of(ev("a", "x", "A", "B"), ev("b", "x", "A"),
                  ev("b", "y", "B", "C", "D"))
-    B = net.incidence["user", "item"]
-    W = net.incidence["item", "tag"]
+    B = net.incidence("user", "item")
+    W = net.incidence("item", "tag")
     assert B.toarray().tolist() == [[1.0, 0.0], [1.0, 1.0]]
     assert W.toarray().tolist() == [[1.5, 0.5, 0.0, 0.0],
                                     [0.0, 1 / 3, 1 / 3, 1 / 3]]
-    assert (net.incidence["item", "user"] != B.T).nnz == 0
-    assert (net.incidence["tag", "item"] != W.T).nnz == 0
-    for m in net.incidence.values():
+    assert (net.incidence("item", "user") != B.T).nnz == 0
+    assert (net.incidence("tag", "item") != W.T).nnz == 0
+    for key in net.INCIDENCE:
+        m = net.incidence(*key)
         assert m.indices.dtype == m.indptr.dtype == np.int32
         assert m.has_sorted_indices
 
@@ -230,10 +214,10 @@ def many_weights():
 def test_incidence_matrices_equal_the_eager_construction_bit_for_bit(network):
     net = network()
     eager = eager_incidence(net)
-    assert list(net.incidence) == list(eager)
+    assert list(net.INCIDENCE) == list(eager)
     for key, expected in eager.items():
-        m = net.incidence[key]
-        assert net.incidence[key] is m  # built once, then kept
+        m = net.incidence(*key)
+        assert net.incidence(*key) is m  # built once, then kept
         assert m.shape == expected.shape
         for part in ("indptr", "indices", "data"):
             got, want = getattr(m, part), getattr(expected, part)
@@ -250,7 +234,7 @@ def test_attribution_sums_match_exact_weights():
     for _, iid, tag_ids in net.iter_pairs():
         for tid in tag_ids:
             exact[iid, tid] = exact.get((iid, tid), 0) + Fraction(1, len(tag_ids))
-    W = net.incidence["item", "tag"].toarray()
+    W = net.incidence("item", "tag").toarray()
     assert np.count_nonzero(W) == len(exact)
     # one rounding per addition, at most len(link_tags) additions per entry
     rel = len(net.link_tags) * 2.0**-53
@@ -261,7 +245,7 @@ def test_attribution_sums_match_exact_weights():
 def test_adjacency_lists_are_in_ascending_id_order():
     # u owns item 1 before item 0
     net = net_of(ev("v", "x", "T"), ev("u", "y", "T"), ev("u", "x", "T"))
-    B, Bt = net.incidence["user", "item"], net.incidence["item", "user"]
+    B, Bt = net.incidence("user", "item"), net.incidence("item", "user")
     assert B.indices[B.indptr[1]:B.indptr[2]].tolist() == [0, 1]
     assert Bt.indices[Bt.indptr[0]:Bt.indptr[1]].tolist() == [0, 1]
     assert B.indices[B.indptr[0]:B.indptr[1]].tolist() == [0]

@@ -397,6 +397,9 @@ bucket_grids = st.builds(
 def test_bucket_is_searchsorted_over_the_levels_below_one(grid, spread, pick):
     levels = np.array([grid.phi(t) for t in range(grid.size)])
     assert levels[-1] < 1.0 <= grid.phi(grid.size)
+    # The table holds phi(0) to phi(size), bit for bit as phi computes them.
+    table = np.append(levels, grid.phi(grid.size))
+    assert grid.thresholds.tobytes() == table.tobytes()
     # Each level and one ulp either side, start, 1 and its neighbours, values
     # in (start, 1], and one above every threshold below 1.
     values = np.concatenate([

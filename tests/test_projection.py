@@ -552,7 +552,7 @@ def test_first_grid_keeps_the_products_column_order():
     # No reader depends on column order, so the product's rows are not sorted.
     net = build_network(generate(PlantedConfig(4, 10, 150, 20, seed=1))[0])
     members = list(range(0, 600, 3))
-    a = net.incidence["user", "item"][members]
+    a = net.incidence("user", "item")[members]
     product = a @ a.T
     C = correlation_matrix(net, "users", members=members)
     assert np.array_equal(C.values.indptr, product.indptr)
